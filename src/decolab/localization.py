@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import InvariantError
+from .errors import InvariantError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,22 @@ class ObservableTrace:
 
     def as_arrays(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         return np.asarray(self.times), {k: np.asarray(v) for k, v in self.records.items()}
+
+
+def step_count(t_final: float, dt: float) -> int:
+    """Number of dt steps from 0 to t_final; PreconditionError unless dt divides t_final."""
+    n_steps = round(t_final / dt)
+    if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
+        raise PreconditionError(f"dt = {dt} does not divide t_final = {t_final}")
+    return n_steps
+
+
+def record_steps(n_steps: int, stride: int) -> list[int]:
+    """Steps at which a run records: 0, every stride-th step, and the last step."""
+    steps = list(range(0, n_steps + 1, stride))
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
+    return steps
 
 
 class CoherenceLength(NamedTuple):
@@ -268,9 +284,7 @@ def evolve(
     Aborts with InvariantError if trace or hermiticity drifts beyond
     audit_tol mid-run.
     """
-    n_steps = round(t_final / dt)
-    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
-        raise ValueError("dt must divide t_final")
+    n_steps = step_count(t_final, dt)
     trace = ObservableTrace()
     trace.append(0.0, _record(s0, recorder))
     s = s0

@@ -6,6 +6,10 @@ while scattering off the surroundings dephases the chirality basis at rate
 gamma (Lindblad sigma_z convention: coherences decay at 2*gamma).
 Depending on gamma/omega the motion is approximately unitary, follows a
 master equation, or freezes (quantum Zeno effect).
+
+A Strang step of this dynamics is one fixed 4x4 linear map on the
+row-major vec(rho); runs apply its powers, one per record, instead of
+stepping the 2x2 matrix dt by dt.
 """
 from __future__ import annotations
 
@@ -15,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import PreconditionError
-from ..localization import ObservableTrace
-from ..premeasure import MonitoringChannel
+from ..localization import ObservableTrace, record_steps, step_count
 
 # regime thresholds on gamma/omega
 UNITARY_BELOW = 0.1
@@ -47,9 +50,12 @@ def _check_step(cfg: ChiralConfig):
 def chiral_dynamics(cfg: ChiralConfig) -> ObservableTrace:
     """Evolve |L><L| under tunneling + chirality monitoring; record P_L and coherence.
 
-    Each step is a Strang split: exact half tunneling unitary, full
+    One step is a Strang split: exact half tunneling unitary, full
     dephasing factor exp(-2*gamma*dt) on the chirality coherences, half
-    unitary.  With gamma = 0 the composition is the exact Rabi evolution.
+    unitary.  That step is a fixed linear map, so a run applies its
+    record_stride-th power once per record (a lower power for a last,
+    partial stride).  With gamma = 0 the composition is the exact Rabi
+    evolution.
     """
     return chiral_run(cfg)[0]
 
@@ -57,30 +63,27 @@ def chiral_dynamics(cfg: ChiralConfig) -> ObservableTrace:
 def chiral_run(cfg: ChiralConfig) -> tuple[ObservableTrace, np.ndarray]:
     """Like chiral_dynamics, but also returns the final 2x2 density matrix."""
     _check_step(cfg)
-    half = np.array([
-        [math.cos(cfg.omega * cfg.dt / 4.0), -1j * math.sin(cfg.omega * cfg.dt / 4.0)],
-        [-1j * math.sin(cfg.omega * cfg.dt / 4.0), math.cos(cfg.omega * cfg.dt / 4.0)],
-    ])  # exp(-i (omega/2) sigma_x dt/2)
-    # same dephasing factor monitor_step applies, inlined for the hot loop
-    channel = MonitoringChannel(rate=2.0 * cfg.gamma, dt=cfg.dt)
-    damp = math.exp(-channel.rate * channel.dt)
-    rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    n_steps = step_count(cfg.t_final, cfg.dt)
+    c, s = math.cos(cfg.omega * cfg.dt / 4.0), math.sin(cfg.omega * cfg.dt / 4.0)
+    half = np.array([[c, -1j * s], [-1j * s, c]])  # exp(-i (omega/2) sigma_x dt/2)
+    kick = np.kron(half, half.conj())  # rho -> half rho half^dag on row-major vec(rho)
+    damp = math.exp(-2.0 * cfg.gamma * cfg.dt)
+    step = kick @ np.diag([1.0, damp, damp, 1.0]) @ kick
+    stride = cfg.record_stride
+    stride_map = np.linalg.matrix_power(step, stride)
+    tail_map = np.linalg.matrix_power(step, n_steps % stride)  # a last, partial stride
+    rho = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     out = ObservableTrace()
     out.append(0.0, {"p_left": 1.0, "coherence": 0.0, "trace": 1.0})
-    n_steps = round(cfg.t_final / cfg.dt)
-    for step in range(1, n_steps + 1):
-        rho = half @ rho @ half.conj().T
-        rho[0, 1] *= damp
-        rho[1, 0] *= damp
-        rho = half @ rho @ half.conj().T
-        rho /= np.trace(rho).real  # counter rounding drift of the trig unitary
-        if step % cfg.record_stride == 0 or step == n_steps:
-            out.append(step * cfg.dt, {
-                "p_left": float(rho[0, 0].real),
-                "coherence": float(2.0 * abs(rho[0, 1])),
-                "trace": float(np.trace(rho).real),
-            })
-    return out, rho
+    for n in record_steps(n_steps, stride)[1:]:
+        rho = (stride_map if n % stride == 0 else tail_map) @ rho
+        rho /= (rho[0] + rho[3]).real  # counter rounding drift of the trig unitary
+        out.append(n * cfg.dt, {
+            "p_left": float(rho[0].real),
+            "coherence": float(2.0 * abs(rho[1])),
+            "trace": float((rho[0] + rho[3]).real),
+        })
+    return out, rho.reshape(2, 2)
 
 
 def classify_regime(cfg: ChiralConfig) -> str:

@@ -154,9 +154,15 @@ def _run_decay(p: dict, seed: int, record_stride: int, monitored: bool) -> Scena
     )
     trace, rho = decay_run(cfg)
     t, rec = trace.as_arrays()
-    rate, amp, resid = exponential_fit(trace)
+    try:
+        rate, _, resid = exponential_fit(trace)
+    except ValueError:
+        rate = resid = "not resolved"
     t_rev = revival_time(cfg)
-    peak_t, peak_p = survival_peak(trace, 0.6 * t_rev)
+    try:
+        peak_t, peak_p = survival_peak(trace, 0.6 * t_rev)
+    except ValueError:
+        peak_t = peak_p = "no revival in window"
     summary = {
         "golden_rule_rate": golden_rule_rate(cfg),
         "fitted_rate": rate,

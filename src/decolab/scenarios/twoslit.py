@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import PreconditionError
-from ..localization import GridSpec, GridDensityMatrix, ObservableTrace, gaussian_packet
+from ..localization import GridSpec, GridDensityMatrix, ObservableTrace, gaussian_packet, step_count
 
 
 @dataclass
@@ -62,6 +62,7 @@ def two_slit_visibility(cfg: TwoSlitConfig) -> ObservableTrace:
 
 def two_slit_run(cfg: TwoSlitConfig) -> tuple[ObservableTrace, GridDensityMatrix]:
     """Like two_slit_visibility, but also returns the final grid state."""
+    n_steps = step_count(cfg.t_final, cfg.dt)
     s0, i_r, i_l = _initial_state(cfg)
     v0 = abs(s0.rho[i_r, i_l])
     if v0 <= 0:
@@ -72,7 +73,6 @@ def two_slit_run(cfg: TwoSlitConfig) -> tuple[ObservableTrace, GridDensityMatrix
     # step manually (Strang order as in localization.evolve) so the single
     # cross-peak matrix entry can be recorded
     s = s0
-    n_steps = round(cfg.t_final / cfg.dt)
     from ..localization import localization_step, kinetic_half_step
 
     for step in range(1, n_steps + 1):

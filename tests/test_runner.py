@@ -222,6 +222,37 @@ def test_cli_run_precondition_failure_is_exit_3(tmp_path, monkeypatch, capsys):
     assert "config echo" in err  # failing run is echoed for reproduction
 
 
+@pytest.mark.parametrize("text", [
+    "[two-slit]\nt_final = 1.0\ndt = 0.3\n",
+    "[chiral-sugar]\nt_final = 1.0\ndt = 0.0003\n",
+    "[decay-cavity]\nt_final = 1.0\ndt = 0.003\n",
+    "[decay-monitored]\nt_final = 1.0\ndt = 0.003\n",
+])
+def test_cli_run_incommensurate_dt_is_exit_3(text, tmp_path, monkeypatch, capsys):
+    # a run that cannot land on t_final refuses to start instead of ending short
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(text)
+    monkeypatch.setenv("DECOLAB_OUTDIR", str(tmp_path))
+    assert main(["run", str(cfg)]) == 3
+    assert "does not divide t_final" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("text, key, value", [
+    ("[decay-cavity]\nt_final = 64\n", "fitted_rate", "not resolved"),
+    ("[decay-monitored]\nt_final = 6\n", "late_peak_time", "no revival in window"),
+])
+def test_cli_run_decay_reports_unresolved_fits(text, key, value, tmp_path, monkeypatch):
+    cfg = tmp_path / "decay.cfg"
+    cfg.write_text(f"{text}output = decay.csv\n")
+    monkeypatch.setenv("DECOLAB_OUTDIR", str(tmp_path))
+    assert main(["run", str(cfg)]) == 0
+    report = json.loads((tmp_path / "decay.csv.report.json").read_text())
+    assert report["summary"][key] == value
+    header, data = read_trace_csv(str(tmp_path / "decay.csv"))
+    assert data[-1, 0] == pytest.approx(report["parameters"]["t_final"])
+
+
 def test_cli_summarize(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "two.cfg"
     cfg.write_text(

@@ -3,14 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from decolab.errors import PreconditionError, UnsupportedConfigError
 from decolab.hilbert import density_of, partial_trace
+from decolab.localization import ObservableTrace
 from decolab.scenarios import (
     TwoSlitConfig, two_slit_run, two_slit_visibility, visibility_exponent,
     ChiralConfig, chiral_dynamics, chiral_run, classify_regime, relaxation_rate, time_to_reach,
     ChargeModel, charge_reduced_density,
-    DecayConfig, decay_survival, golden_rule_rate, revival_time, survival_peak, exponential_fit,
+    DecayConfig, decay_run, decay_survival, golden_rule_rate, revival_time, survival_peak, exponential_fit,
     MeasurementChain, build_chain_state, run_chain,
     SCENARIOS, scenario_names,
 )
@@ -94,6 +96,44 @@ def test_chiral_trace_is_conserved():
     trace = chiral_dynamics(cfg)
     _, rec = trace.as_arrays()
     assert np.max(np.abs(rec["trace"] - 1.0)) < 1e-12
+
+
+def _strang_chiral_loop(omega, gamma, t_final, dt, stride):
+    """Reference: the per-step Strang loop on the 2x2 matrix, renormalized each step.
+
+    Returns rows (t, P_L, coherence, trace) at the stride multiples and the
+    last step, and the final state.
+    """
+    c, s = math.cos(omega * dt / 4.0), math.sin(omega * dt / 4.0)
+    half = np.array([[c, -1j * s], [-1j * s, c]])
+    damp = math.exp(-2.0 * gamma * dt)
+    rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    n_steps = round(t_final / dt)
+    rows = [(0.0, 1.0, 0.0, 1.0)]
+    for step in range(1, n_steps + 1):
+        rho = half @ rho @ half.conj().T
+        rho[0, 1] *= damp
+        rho[1, 0] *= damp
+        rho = half @ rho @ half.conj().T
+        rho /= np.trace(rho).real
+        if step % stride == 0 or step == n_steps:
+            rows.append((step * dt, rho[0, 0].real, 2.0 * abs(rho[0, 1]), np.trace(rho).real))
+    return np.array(rows), rho
+
+
+@pytest.mark.parametrize("gamma, t_final, stride", [(3.0, 2.0, 10), (0.5, 1.0, 7)])
+def test_chiral_matches_per_step_strang_loop(gamma, t_final, stride):
+    """The stride-power map equals the step-by-step loop, also over a last, partial stride."""
+    cfg = ChiralConfig(omega=1.3, gamma=gamma, t_final=t_final, dt=0.001, record_stride=stride)
+    trace, rho = chiral_run(cfg)
+    t, rec = trace.as_arrays()
+    ref, ref_rho = _strang_chiral_loop(cfg.omega, gamma, t_final, cfg.dt, stride)
+    assert t.shape == ref[:, 0].shape
+    assert np.max(np.abs(t - ref[:, 0])) < 1e-12
+    assert t[-1] == pytest.approx(t_final, abs=1e-12)
+    for i, name in enumerate(("p_left", "coherence", "trace"), start=1):
+        assert np.max(np.abs(rec[name] - ref[:, i])) < 1e-10, name
+    assert np.max(np.abs(rho - ref_rho)) < 1e-10
 
 
 def test_classify_regime_thresholds():
@@ -192,6 +232,70 @@ def test_survival_peak_lookup():
     peak_t, peak_p = survival_peak(trace, 0.6 * t_rev)
     assert peak_t >= 0.6 * t_rev
     assert 0.0 < peak_p <= 1.0
+
+
+def _site_basis_monitored_decay(cfg: DecayConfig):
+    """Reference: U rho U^dag with U = expm(-i H dt), then damp row and column 0, step by step.
+
+    Builds H from the model's definition; returns record times, survival and
+    the final state, recording at the stride multiples and the last step.
+    """
+    n = cfg.n_modes
+    h = np.zeros((n + 1, n + 1))
+    h[0, 1:] = h[1:, 0] = cfg.coupling
+    h[range(1, n + 1), range(1, n + 1)] = (np.arange(n) - (n - 1) / 2.0) * cfg.mode_spacing
+    u = expm(-1j * h * cfg.dt)
+    f = math.exp(-cfg.monitor_rate * cfg.dt)
+    rho = np.zeros((n + 1, n + 1), dtype=complex)
+    rho[0, 0] = 1.0
+    n_steps = round(cfg.t_final / cfg.dt)
+    times, survival = [0.0], [1.0]
+    for step in range(1, n_steps + 1):
+        rho = u @ rho @ u.conj().T
+        rho[0, 1:] *= f
+        rho[1:, 0] *= f
+        if step % cfg.record_stride == 0 or step == n_steps:
+            times.append(step * cfg.dt)
+            survival.append(rho[0, 0].real)
+    return np.array(times), np.array(survival), rho
+
+
+@pytest.mark.parametrize("n_modes, stride", [(21, 10), (41, 7)])
+def test_monitored_decay_matches_site_basis_loop(n_modes, stride):
+    cfg = DecayConfig(n_modes=n_modes, mode_spacing=1.0, coupling=0.5, monitored=True,
+                      monitor_rate=20.0, t_final=3.0, dt=0.01, record_stride=stride)
+    trace, rho = decay_run(cfg)
+    t, rec = trace.as_arrays()
+    ref_t, ref_p, ref_rho = _site_basis_monitored_decay(cfg)
+    assert t.shape == ref_t.shape
+    assert np.max(np.abs(t - ref_t)) < 1e-12
+    assert np.max(np.abs(rec["survival"] - ref_p)) < 1e-10
+    assert rho.shape == (n_modes + 1, n_modes + 1)
+    assert np.max(np.abs(rho - ref_rho)) < 1e-10
+    assert np.array_equal(rho, rho.conj().T)
+
+
+def test_decay_paths_record_at_the_same_steps():
+    """Both paths record at the stride multiples and the last step, ending at t_final."""
+    unmonitored = DecayConfig(t_final=1.0, dt=0.005, record_stride=7)
+    monitored = DecayConfig(t_final=1.0, dt=0.005, record_stride=7, monitored=True)
+    t_u, _ = decay_survival(unmonitored).as_arrays()
+    t_m, _ = decay_survival(monitored).as_arrays()
+    expected = np.array([*range(0, 200, 7), 200]) * 0.005
+    assert np.array_equal(t_u, expected)
+    assert np.array_equal(t_m, expected)
+
+
+def test_fits_without_a_window_raise_value_error():
+    rising = ObservableTrace()
+    for t, p in ((0.0, 0.5), (1.0, 0.6), (2.0, 0.7), (3.0, 0.8)):
+        rising.append(t, {"survival": p})
+    with pytest.raises(ValueError, match="not positive"):
+        exponential_fit(rising)
+    with pytest.raises(ValueError, match="fewer than 2"):
+        exponential_fit(rising, t_max=0.5)
+    with pytest.raises(ValueError, match="before t_min"):
+        survival_peak(rising, 4.0)
 
 
 # ---------------------------------------------------------------- chain
