@@ -254,4 +254,5 @@ def entanglement_entropy(rho: DensityMatrix) -> float:
 def offdiagonal_coherence(rho: DensityMatrix) -> float:
     """Sum of |rho_mn| over m != n in the stored (computational) basis."""
     a = np.abs(rho.entries)
-    return float(a.sum() - np.trace(a))
+    np.fill_diagonal(a, 0.0)  # not a.sum() - trace(a), which cancels off-diagonals below its rounding
+    return float(a.sum())

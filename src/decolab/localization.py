@@ -2,20 +2,22 @@
 
 d rho/dt = -i [p^2/2m, rho] - lam (x - x')^2 rho,  hbar = 1.
 
-The kinetic part is applied spectrally (periodic boundaries), the
-localization part has an exact entrywise flow exp(-lam (x-x')^2 dt) which
-is a Schur product with a positive-semidefinite Gaussian kernel, so both
-sub-steps preserve hermiticity, trace and positivity.  Time stepping is
-Strang splitting: kinetic half, localization full, kinetic half.
+The kinetic part is the elementwise phase phi_p conj(phi_q) on
+sigma = fft2(rho), phi = exp(-i p^2 dt/2m) (periodic boundaries; p^2 is
+even, so no axis is reversed).  The localization part has an exact
+entrywise flow exp(-lam (x-x')^2 dt), a Schur product with a positive-
+semidefinite kernel, so both preserve hermiticity, trace and positivity.
+Time stepping is Strang splitting with adjacent kinetic half-kicks merged
+into one full kick in momentum space, in one loop for `evolve` and two-slit.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import InvariantError, PreconditionError
 
@@ -159,11 +161,16 @@ def pure_density(grid: GridSpec, psi: np.ndarray, mass: float, lam: float) -> Gr
     return GridDensityMatrix(grid, rho, mass, lam)
 
 
-def localization_step(s: GridDensityMatrix, dt: float) -> GridDensityMatrix:
+def _localization_kernel(grid: GridSpec, lam: float, dt: float) -> np.ndarray:
+    return np.exp(-lam * dt * np.subtract.outer(grid.x, grid.x) ** 2)
+
+
+def localization_step(s: GridDensityMatrix, dt: float, kernel: np.ndarray | None = None) -> GridDensityMatrix:
+    """Exact localization flow over dt; `kernel` is _localization_kernel(grid, lam, dt), if already built."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    x = s.grid.x
-    kernel = np.exp(-s.lam * dt * (x[:, None] - x[None, :]) ** 2)
+    if kernel is None:
+        kernel = _localization_kernel(s.grid, s.lam, dt)
     return GridDensityMatrix(s.grid, s.rho * kernel, s.mass, s.lam)
 
 
@@ -171,25 +178,56 @@ def _kinetic_phase(grid: GridSpec, mass: float, dt: float) -> np.ndarray:
     return np.exp(-1j * grid.p**2 / (2.0 * mass) * dt)
 
 
-def _apply_left(rho: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    return np.fft.ifft(phase[:, None] * np.fft.fft(rho, axis=0), axis=0)
+def _kick(sigma: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """sigma_pq *= phase_p conj(phase_q) in place: U rho U^dag in momentum space, sigma = fft2(rho)."""
+    sigma *= phase[:, None]
+    sigma *= phase.conj()
+    return sigma
 
 
-def _free_conjugate(rho: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """U rho U^dag with U = F^-1 diag(phase) F, via the adjoint identity."""
-    r1 = _apply_left(rho, phase)
-    return _apply_left(r1.conj().T, phase).conj().T
+def kinetic_half_step(s: GridDensityMatrix, dt: float, sigma: np.ndarray | None = None) -> GridDensityMatrix:
+    """Unitary free evolution over dt/2: rho -> U rho U^dag, U = F^-1 e^{-i p^2 dt/4m} F.
 
-
-def kinetic_half_step(s: GridDensityMatrix, dt: float) -> GridDensityMatrix:
-    """Unitary free evolution over dt/2: rho -> U rho U^dag, U = F^-1 e^{-i p^2 dt/4m} F."""
+    sigma, when given, is fft2(s.rho) as the caller already has it; it is left unchanged.
+    """
     if not math.isfinite(s.mass):
         return GridDensityMatrix(s.grid, s.rho.copy(), s.mass, s.lam)
-    phase = _kinetic_phase(s.grid, s.mass, dt / 2.0)
-    rho = _free_conjugate(s.rho, phase)
+    sigma = np.fft.fft2(s.rho) if sigma is None else sigma.copy()
+    rho = np.fft.ifft2(_kick(sigma, _kinetic_phase(s.grid, s.mass, dt / 2.0)))
     # enforce exact hermiticity against FFT rounding
-    rho = 0.5 * (rho + rho.conj().T)
-    return GridDensityMatrix(s.grid, rho, s.mass, s.lam)
+    return GridDensityMatrix(s.grid, 0.5 * (rho + rho.conj().T), s.mass, s.lam)
+
+
+def _march(s0: GridDensityMatrix, dt: float, n_steps: int, stride: int, record, audit_tol: float = 1e-6):
+    """The grid's one step loop: n_steps Strang steps from s0, adjacent half-kicks merged.
+
+    Between localizations the state goes to momentum space for one full kick.
+    At each step of record_steps(n_steps, stride), record(step, s, sigma) gets
+    the state s at that step with sigma None; at inner steps of a finite mass
+    it gets the state before its closing half-kick and sigma = fft2(s.rho),
+    which the loop kicks in place afterwards.  Returns the final state.
+    """
+    finite = math.isfinite(s0.mass)
+    kernel = _localization_kernel(s0.grid, s0.lam, dt)
+    phase = _kinetic_phase(s0.grid, s0.mass, dt) if finite else None
+    at = set(record_steps(n_steps, stride)[1:-1])
+    record(0, s0, None)
+    s = kinetic_half_step(s0, dt) if finite else s0
+    for step in range(1, n_steps + 1):
+        drift = abs(s.trace() - 1.0)
+        if drift > audit_tol:
+            raise InvariantError(f"step {step}: trace drift {drift:.3e}")
+        s = localization_step(s, dt, kernel)
+        sigma = np.fft.fft2(s.rho) if finite and step < n_steps else None
+        if step in at:
+            record(step, s, sigma)
+        if sigma is not None:
+            s = copy.copy(s)  # unvalidated: the next localization validates what it returns
+            s.rho = np.fft.ifft2(_kick(sigma, phase))
+    if finite:
+        s = kinetic_half_step(s, dt)
+    record(n_steps, s, None)
+    return s
 
 
 OBSERVABLES = ("trace", "mean_x", "mean_p", "var_xx", "cov_xp", "var_pp",
@@ -204,8 +242,9 @@ def moments_of(s: GridDensityMatrix) -> GaussianMoments:
     mean_x = float(np.sum(x * diag))
     var_xx = float(np.sum((x - mean_x) ** 2 * diag))
     p = grid.p
-    prho = np.fft.ifft(p[:, None] * np.fft.fft(rho, axis=0), axis=0)
-    pprho = np.fft.ifft(p[:, None] ** 2 * np.fft.fft(rho, axis=0), axis=0)
+    frho = np.fft.fft(rho, axis=0)
+    prho = np.fft.ifft(p[:, None] * frho, axis=0)
+    pprho = np.fft.ifft(p[:, None] ** 2 * frho, axis=0)
     mean_p = float(np.real(np.sum(np.diag(prho))) * dx)
     mean_pp = float(np.real(np.sum(np.diag(pprho))) * dx)
     mean_xp = float(np.real(np.sum(x * np.diag(prho))) * dx)
@@ -226,7 +265,8 @@ def coherence_length(s: GridDensityMatrix) -> CoherenceLength:
     i0 = int(np.argmax(diag))
     n = s.grid.n_points
     kmax = min(i0, n - 1 - i0)
-    profile = np.abs(np.array([s.rho[i0 + k, i0 - k] for k in range(kmax + 1)]))
+    k = np.arange(kmax + 1)
+    profile = np.abs(s.rho[i0 + k, i0 - k])
     target = profile[0] / math.e
     below = np.nonzero(profile < target)[0]
     if len(below) == 0:
@@ -257,7 +297,7 @@ def _record(s: GridDensityMatrix, names) -> dict[str, float]:
         np.fill_diagonal(a, 0.0)
         out["offdiag_peak"] = float(a.max())
     if "purity" in names:
-        out["purity"] = float(np.real(np.trace(s.rho @ s.rho))) * s.grid.dx**2
+        out["purity"] = float(np.vdot(s.rho, s.rho).real) * s.grid.dx**2  # sum |rho_ij|^2 = tr(rho^2)
     return out
 
 
@@ -286,54 +326,12 @@ def evolve(
     """
     n_steps = step_count(t_final, dt)
     trace = ObservableTrace()
-    trace.append(0.0, _record(s0, recorder))
-    s = s0
-    x = s.grid.x
-    loc_kernel = np.exp(-s.lam * dt * (x[:, None] - x[None, :]) ** 2)
-    kin_phase = None if not math.isfinite(s.mass) else _kinetic_phase(s.grid, s.mass, dt / 2.0)
-    rho = s.rho.copy()
-    for step in range(1, n_steps + 1):
-        if kin_phase is not None:
-            rho = _free_conjugate(rho, kin_phase)
-        rho *= loc_kernel
-        if kin_phase is not None:
-            rho = _free_conjugate(rho, kin_phase)
-            rho = 0.5 * (rho + rho.conj().T)
-        tr_drift = abs(float(np.real(np.sum(np.diag(rho)))) * s.grid.dx - 1.0)
-        if tr_drift > audit_tol:
-            raise InvariantError(f"step {step}: trace drift {tr_drift:.3e}")
-        if step % record_stride == 0 or step == n_steps:
-            cur = GridDensityMatrix(s.grid, rho, s.mass, s.lam)
-            trace.append(step * dt, _record(cur, recorder))
-    out = GridDensityMatrix(s.grid, rho, s.mass, s.lam)
-    herm = out.audit()["hermiticity_drift"]
+
+    def record(step, s, sigma):
+        trace.append(step * dt, _record(s if sigma is None else kinetic_half_step(s, dt, sigma), recorder))
+
+    out = _march(s0, dt, n_steps, record_stride, record, audit_tol)
+    herm = float(np.max(np.abs(out.rho - out.rho.conj().T)))
     if herm > audit_tol:
         raise InvariantError(f"final state: hermiticity drift {herm:.3e}")
     return out, trace
-
-
-def moment_ode_oracle(m0: GaussianMoments, mass: float, lam: float, t: float) -> GaussianMoments:
-    """Second-moment flow of the master equation, integrated independently.
-
-    Closed system (derived by integrating the equation against x, p, x^2,
-    (xp+px)/2, p^2; the localization term feeds only var_pp):
-        d<x>/dt   = <p>/m          d<p>/dt    = 0
-        d var_xx  = 2 cov_xp / m   d cov_xp   = var_pp / m
-        d var_pp  = 2 lam
-    Integrated with an adaptive RK scheme at tight tolerance so it stays an
-    independent oracle for the grid solver.
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0:
-        return GaussianMoments(m0.mean_x, m0.mean_p, m0.var_xx, m0.cov_xp, m0.var_pp)
-    inv_m = 0.0 if not math.isfinite(mass) else 1.0 / mass
-
-    def rhs(_t, y):
-        mean_x, mean_p, var_xx, cov_xp, var_pp = y
-        return [mean_p * inv_m, 0.0, 2.0 * cov_xp * inv_m, var_pp * inv_m, 2.0 * lam]
-
-    y0 = [m0.mean_x, m0.mean_p, m0.var_xx, m0.cov_xp, m0.var_pp]
-    sol = solve_ivp(rhs, (0.0, t), y0, rtol=1e-11, atol=1e-13, dense_output=False)
-    y = sol.y[:, -1]
-    return GaussianMoments(*[float(v) for v in y])

@@ -13,7 +13,8 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ConfigError
-from ..localization import ObservableTrace
+from ..hilbert import offdiagonal_coherence
+from ..localization import ObservableTrace, record_steps
 from .twoslit import TwoSlitConfig, two_slit_run, visibility_exponent
 from .chiral import ChiralConfig, chiral_run, classify_regime, relaxation_rate
 from .charge import ChargeModel, charge_reduced_density
@@ -121,21 +122,13 @@ def _run_charge(p: dict, seed: int, record_stride: int) -> ScenarioResult:
     amps = np.full(q, 1.0 / math.sqrt(q))
     gram = np.full((q, q), overlap, dtype=complex)
     np.fill_diagonal(gram, 1.0)
-    def offdiag_sum(r: int) -> float:
-        rho = charge_reduced_density(ChargeModel(amps, r, gram)).entries
-        a = np.abs(rho)
-        return float(a.sum() - np.trace(a))
-
     trace = ObservableTrace()
-    stride = max(1, record_stride)
-    shell_counts = sorted(set(range(0, shells + 1, stride)) | {shells})
-    for r in shell_counts:
-        trace.append(float(r) if trace.times else 0.0, {"offdiagonal_sum": offdiag_sum(r)})
-    rho = charge_reduced_density(ChargeModel(amps, shells, gram)).entries
-    a = np.abs(rho)
-    off = float(a.sum() - np.trace(a))
+    for r in record_steps(shells, max(1, record_stride)):
+        reduced = charge_reduced_density(ChargeModel(amps, r, gram))
+        trace.append(float(r), {"offdiagonal_sum": offdiagonal_coherence(reduced)})
+    rho = reduced.entries  # the last record is at r = shells
     summary = {
-        "final_offdiagonal_sum": off,
+        "final_offdiagonal_sum": offdiagonal_coherence(reduced),
         "diagonal_matches_born": float(np.max(np.abs(np.diag(rho).real - np.abs(amps) ** 2))),
     }
     audit = {

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import PreconditionError
-from ..localization import GridSpec, GridDensityMatrix, ObservableTrace, gaussian_packet, step_count
+from ..localization import (
+    GridDensityMatrix, GridSpec, ObservableTrace, _kinetic_phase, _march, gaussian_packet, step_count,
+)
 
 
 @dataclass
@@ -61,31 +63,35 @@ def two_slit_visibility(cfg: TwoSlitConfig) -> ObservableTrace:
 
 
 def two_slit_run(cfg: TwoSlitConfig) -> tuple[ObservableTrace, GridDensityMatrix]:
-    """Like two_slit_visibility, but also returns the final grid state."""
+    """Like two_slit_visibility, but also returns the final grid state.
+
+    Inner records read sigma = fft2(rho) before its closing half-kick, in O(N^2):
+    rho_rl = (a phi)^T sigma (b conj phi) with a_p = e^{ip(x_r-x_0)}/N, b_p likewise
+    for x_l and phi the half-kick phase; the trace is the p+q=0 anti-diagonal sum dx/N.
+    """
     n_steps = step_count(cfg.t_final, cfg.dt)
     s0, i_r, i_l = _initial_state(cfg)
     v0 = abs(s0.rho[i_r, i_l])
     if v0 <= 0:
         raise PreconditionError("no initial cross peak; packets unresolved on grid")
     out = ObservableTrace()
-    out.append(0.0, {"visibility": 1.0, "cross_peak": v0, "trace": s0.trace()})
+    n, dx = s0.grid.n_points, s0.grid.dx
+    if math.isfinite(cfg.mass):
+        half = _kinetic_phase(s0.grid, cfg.mass, cfg.dt / 2.0)
+        k = np.arange(n)
+        # e^{i p (x_i - x_0)} = e^{2 pi i k i / N}; the integer product mod N keeps the angle small
+        a = np.exp(2j * np.pi * (k * i_r % n) / n) / n * half
+        b = np.exp(2j * np.pi * (k * i_l % n) / n) / n * half.conj()
+        anti = -k % n
 
-    # step manually (Strang order as in localization.evolve) so the single
-    # cross-peak matrix entry can be recorded
-    s = s0
-    from ..localization import localization_step, kinetic_half_step
+    def record(step: int, s: GridDensityMatrix, sigma):
+        if sigma is None:
+            cross, tr = abs(s.rho[i_r, i_l]), s.trace()
+        else:
+            cross, tr = abs(a @ sigma @ b), float(sigma[k, anti].sum().real) * dx / n
+        out.append(step * cfg.dt, {"visibility": cross / v0, "cross_peak": cross, "trace": tr})
 
-    for step in range(1, n_steps + 1):
-        s = kinetic_half_step(s, cfg.dt)
-        s = localization_step(s, cfg.dt)
-        s = kinetic_half_step(s, cfg.dt)
-        if step % cfg.record_stride == 0 or step == n_steps:
-            out.append(step * cfg.dt, {
-                "visibility": abs(s.rho[i_r, i_l]) / v0,
-                "cross_peak": abs(s.rho[i_r, i_l]),
-                "trace": s.trace(),
-            })
-    return out, s
+    return out, _march(s0, cfg.dt, n_steps, cfg.record_stride, record)
 
 
 def visibility_exponent(trace: ObservableTrace) -> tuple[float, float]:

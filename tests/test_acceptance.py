@@ -21,7 +21,7 @@ from decolab.premeasure import (
     erase, pointers_from_gram,
 )
 from decolab.localization import (
-    GridSpec, gaussian_packet, pure_density, moments_of, evolve, moment_ode_oracle,
+    GridSpec, gaussian_packet, pure_density, moments_of, evolve,
 )
 from decolab.scenarios import (
     TwoSlitConfig, two_slit_visibility, visibility_exponent,
@@ -31,6 +31,7 @@ from decolab.scenarios import (
     survival_peak, exponential_fit,
     MeasurementChain, run_chain,
 )
+from oracles import moment_ode_oracle
 
 
 def _report(n, label):

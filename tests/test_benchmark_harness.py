@@ -2,25 +2,38 @@
 
 `benchmarks/spans.py` rebinds public functions (`kinetic_half_step`,
 `GridDensityMatrix.__post_init__`, `registry.decay_run`, ...) to capture
-results and record spans.  A refactor that renames or deletes one of them
-should fail here, not abort the benchmark before it prints its result.
+results and record spans.  A refactor that renames or deletes one of them,
+or stops calling it where the per-layer metrics look for it, should fail
+here, not abort the benchmark or leave it without those metrics.
 """
 import sys
 from pathlib import Path
 
-from decolab import localization
+import pytest
+
+from decolab import localization, runner
 from decolab.scenarios import registry
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
 HARNESS_MODULES = ("spans", "workloads", "checks")
 
 
-def test_harness_patches_install_and_restore(monkeypatch):
+@pytest.fixture
+def harness(monkeypatch):
+    """The benchmark's `spans` and `workloads` modules, imported afresh and dropped afterwards."""
     monkeypatch.syspath_prepend(str(BENCH_DIR))
     for name in HARNESS_MODULES:
         monkeypatch.delitem(sys.modules, name, raising=False)
     import spans
+    import workloads
 
+    yield spans, workloads
+    for name in HARNESS_MODULES:
+        sys.modules.pop(name, None)
+
+
+def test_harness_patches_install_and_restore(harness):
+    spans, _ = harness
     originals = {"decay_run": registry.decay_run, "post_init": localization.GridDensityMatrix.__post_init__}
     capture, tracer = spans.Capture(), spans.Tracer()
     try:
@@ -31,7 +44,54 @@ def test_harness_patches_install_and_restore(monkeypatch):
     finally:
         tracer.restore()
         capture.restore()
-        for name in HARNESS_MODULES:
-            sys.modules.pop(name, None)
     assert registry.decay_run is originals["decay_run"]
     assert localization.GridDensityMatrix.__post_init__ is originals["post_init"]
+
+
+def _failed_ops(workload, capture, outdir: Path, tracer=None) -> dict:
+    """Run the workload's operations once, in order, checking each; returns {name: error} of those that failed."""
+    outdir.mkdir(parents=True)
+    failed = {}
+    for op in workload.ops():
+        capture.results = []
+        if tracer is not None:
+            tracer.op = f"{workload.name}/{op.name}"
+        try:
+            op.check(op.run(outdir), capture.results)
+        except Exception as exc:  # a raising operation or a failed check, as the benchmark counts them
+            failed[op.name] = f"{type(exc).__name__}: {exc}"
+    return failed
+
+
+def test_one_round_of_every_workload_fails_only_known_faults(harness, tmp_path, monkeypatch):
+    spans, workloads = harness
+    monkeypatch.setenv(runner.OUTPUT_DIR_ENV, str(tmp_path))  # batch-io sets it per round; restored here
+    capture = spans.Capture()
+    capture.install()
+    try:
+        failed = {name: _failed_ops(cls(1, tmp_path / name / "inputs"), capture, tmp_path / name / "round")
+                  for name, cls in workloads.WORKLOADS.items()}
+    finally:
+        capture.restore()
+    known = {f"run-{name}" for name in workloads.KNOWN_FAULTS}
+    assert {name: {op: err for op, err in ops.items() if op not in known} for name, ops in failed.items()} == \
+        {name: {} for name in workloads.WORKLOADS}
+    assert "run-F6-charge-underflow" not in failed["batch-io"]
+
+
+def test_traced_grid_round_reports_every_grid_metric(harness, tmp_path):
+    spans, workloads = harness
+    capture, tracer = spans.Capture(), spans.Tracer()
+    capture.install()
+    spans.install(tracer)
+    try:
+        grid = workloads.Grid(1, tmp_path / "inputs")
+        failed = _failed_ops(grid, capture, tmp_path / "round", tracer)
+    finally:
+        tracer.restore()
+        capture.restore()
+    assert failed == {}
+    metrics = spans.layer_metrics(tracer.spans, 0.0, {}, {f"grid/{grid.headline}"})
+    wanted = [name for name in spans.LAYER_METRICS if name.startswith("localization.")]
+    wanted += ["scenarios.two_slit_run_s", "scenarios.run.two-slit_s"]
+    assert [name for name in wanted if name not in metrics] == []

@@ -155,3 +155,12 @@ def test_entropy_of_maximally_mixed():
     split = SubsystemSplit((4,))
     rho = DensityMatrix(np.eye(4) / 4.0, split)
     assert entanglement_entropy(rho) == pytest.approx(np.log(4))
+
+
+@pytest.mark.parametrize("r", [200, 400])
+def test_offdiagonal_coherence_of_tiny_offdiagonals(r):
+    """Off-diagonals far below the diagonal's rounding are summed, not cancelled."""
+    entries = np.full((3, 3), 0.9**r / 3.0)
+    np.fill_diagonal(entries, 1.0 / 3.0)
+    rho = DensityMatrix(entries, SubsystemSplit((3,)))
+    assert offdiagonal_coherence(rho) == pytest.approx(2.0 * 0.9**r, rel=1e-12, abs=0.0)

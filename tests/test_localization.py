@@ -7,8 +7,9 @@ import pytest
 from decolab.localization import (
     GridSpec, GridDensityMatrix, GaussianMoments, ObservableTrace,
     gaussian_packet, pure_density, localization_step, kinetic_half_step,
-    moments_of, coherence_length, suggested_dt, evolve, moment_ode_oracle,
+    moments_of, coherence_length, suggested_dt, evolve,
 )
+from oracles import moment_ode_oracle
 
 GRID = GridSpec(128, -8.0, 8.0)
 

@@ -1,11 +1,16 @@
 """Tests for config parsing, batch execution, CSV output and the CLI."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import decolab
 from decolab.cli import main
 from decolab.errors import ConfigError
 from decolab.runner import (
@@ -184,6 +189,15 @@ def test_execute_seed_override_changes_samples(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------- CLI
+
+def test_cli_import_loads_no_scipy():
+    """decolab needs numpy only; a `decolab` command must not pay scipy's import."""
+    src = str(Path(decolab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, decolab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
 
 def test_cli_list_scenarios(capsys):
     assert main(["list-scenarios"]) == 0
