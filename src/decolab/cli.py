@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 config error, 3 scenario precondition failure,
+Exit codes: 0 success, 2 config error, 3 scenario precondition failure
+(including a run whose arithmetic leaves the floating-point range),
 4 invariant-audit failure.
 """
 from __future__ import annotations
@@ -20,6 +21,8 @@ def _cmd_run(args) -> int:
     try:
         with open(args.config) as fh:
             runs = parse_config(fh.read())
+        for cfg in runs:  # rules across fields, checked before any run starts
+            cfg.spec.configure(cfg.parameters, cfg.stride)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
@@ -33,7 +36,7 @@ def _cmd_run(args) -> int:
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        except (PreconditionError, UnsupportedConfigError) as exc:
+        except (PreconditionError, UnsupportedConfigError, ArithmeticError) as exc:  # or out of float range
             print(f"precondition failure in [{cfg.scenario}]: {exc}", file=sys.stderr)
             print(f"config echo:\n{_echo(cfg)}", file=sys.stderr)
             return 3

@@ -22,6 +22,9 @@ import numpy as np
 from .errors import InvariantError, PreconditionError
 
 
+MIN_POINTS = 16
+
+
 @dataclass(frozen=True)
 class GridSpec:
     n_points: int
@@ -29,9 +32,8 @@ class GridSpec:
     x_max: float
 
     def __post_init__(self):
-        n = self.n_points
-        if n < 16 or (n & (n - 1)) != 0:
-            raise ValueError("n_points must be a power of two >= 16")
+        if self.n_points < MIN_POINTS:
+            raise ValueError(f"n_points must be >= {MIN_POINTS}")
         if self.x_max <= self.x_min:
             raise ValueError("x_max must exceed x_min")
 

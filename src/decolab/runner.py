@@ -89,7 +89,7 @@ def parse_config(text: str) -> list[RunConfig]:
     """Parse `[scenario]` sections of `key = value` lines into RunConfigs.
 
     Unknown keys, malformed lines and out-of-bounds values raise
-    ConfigError naming the offending line.
+    ConfigError naming the offending line (for a value, its section's line).
     """
     runs: list[RunConfig] = []
     section: str | None = None
@@ -134,11 +134,9 @@ def parse_config(text: str) -> list[RunConfig]:
             reserved["record_stride"] = _parse_int(value, lineno, "record_stride")
         elif key in spec.params:
             try:
-                parsed = spec.params[key].coerce(value)
-                spec.params[key].check(key, parsed)
+                collected[key] = spec.params[key].coerce(value)
             except ConfigError as exc:
                 raise ConfigError(f"line {lineno}: {key}: {exc}") from exc
-            collected[key] = parsed
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r} for scenario {section!r}")
     finish()
@@ -194,7 +192,8 @@ def execute(cfg: RunConfig, index: int = 0, seed_override: int | None = None) ->
     if outdir and cfg.output_path and not os.path.isabs(cfg.output_path):
         out_path = str(Path(outdir) / cfg.output_path)
     t0 = _time.perf_counter()
-    result = cfg.spec.run(cfg.parameters, cfg.seed, cfg.stride)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # FloatingPointError, not inf or nan
+        result = cfg.spec.run(cfg.parameters, cfg.seed, cfg.stride)
     wall = _time.perf_counter() - t0
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     write_trace_csv(out_path, cfg.spec.time_column, result.trace)
@@ -215,9 +214,15 @@ class TraceSummary:
 
 
 def read_trace_csv(path: str) -> tuple[list[str], np.ndarray]:
+    """Header and rows of a trace CSV; ValueError unless it has an observable column and rows that fit the header."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        lines = fh.read().splitlines()
+    if len(header) < 2 or not lines:
+        raise ValueError(f"trace schema: {path} needs a time column, an observable column and a row")
+    data = np.loadtxt(lines, delimiter=",", ndmin=2)
+    if data.shape[1] != len(header):
+        raise ValueError(f"trace schema: {path} has rows of {data.shape[1]} values under {len(header)} columns")
     return header, data
 
 

@@ -11,7 +11,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..hilbert import StateVector, SubsystemSplit
+from ..params import Declared, param
+
+
+@dataclass
+class ChainConfig(Declared):
+    """Sampling runs of a chain whose amplitudes are drawn from a Philox stream keyed on amplitude_seed."""
+
+    n_outcomes: int = param(4, at_least=2)
+    runs: int = param(100000, at_least=1)
+    amplitude_seed: int = param(1, at_least=0)
+    record_stride: int = 1
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.amplitude_seed >= 2**128:
+            raise ConfigError("amplitude_seed must be below 2**128, the range of a Philox key")
 
 
 @dataclass

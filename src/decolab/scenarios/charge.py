@@ -12,6 +12,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..hilbert import DensityMatrix, SubsystemSplit
+from ..params import Declared, param
+
+
+@dataclass
+class ChargeConfig(Declared):
+    """Equal-weight superposition of n_charges values, all charge pairs with one per-shell overlap."""
+
+    n_charges: int = param(2, at_least=2)
+    shells: int = param(1000, at_least=0)
+    overlap: float = param(0.99, at_least=0, at_most=1)
+    record_stride: int = 1
 
 
 @dataclass

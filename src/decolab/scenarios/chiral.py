@@ -20,6 +20,7 @@ import numpy as np
 
 from ..errors import PreconditionError
 from ..localization import ObservableTrace, record_steps, step_count
+from ..params import Declared, param
 
 # regime thresholds on gamma/omega
 UNITARY_BELOW = 0.1
@@ -27,18 +28,12 @@ ZENO_ABOVE = 10.0
 
 
 @dataclass
-class ChiralConfig:
-    omega: float = 1.0
-    gamma: float = 0.0
-    t_final: float = 20.0
-    dt: float = 0.001
+class ChiralConfig(Declared):
+    omega: float = param(1.0, at_least=0)
+    gamma: float = param(0.0, at_least=0)
+    t_final: float = param(20.0, above=0)
+    dt: float = param(0.001, above=0)
     record_stride: int = 10
-
-    def __post_init__(self):
-        if self.omega < 0 or self.gamma < 0:
-            raise ValueError("omega and gamma must be >= 0")
-        if self.dt <= 0 or self.t_final <= 0:
-            raise ValueError("dt and t_final must be positive")
 
 
 def _check_step(cfg: ChiralConfig):

@@ -19,27 +19,23 @@ import numpy as np
 
 from ..errors import PreconditionError, UnsupportedConfigError
 from ..localization import ObservableTrace, record_steps, step_count
+from ..params import Declared, param
 
 
 @dataclass
-class DecayConfig:
-    n_modes: int = 161
-    mode_spacing: float = 0.5
-    coupling: float = 0.5641895835477563  # golden-rule rate 4.0
+class DecayConfig(Declared):
+    n_modes: int = param(161, at_least=1)
+    mode_spacing: float = param(0.5, above=0)
+    coupling: float = param(0.5641895835477563, above=0)  # golden-rule rate 4.0
     detuning_offsets: np.ndarray | None = None
     monitored: bool = False
-    monitor_rate: float = 80.0
-    t_final: float = 16.0
-    dt: float = 0.005
+    monitor_rate: float = param(80.0, at_least=0)  # read only when monitored
+    t_final: float = param(16.0, above=0)
+    dt: float = param(0.005, above=0)
     record_stride: int = 10
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be >= 1")
-        if self.mode_spacing <= 0 or self.coupling <= 0:
-            raise ValueError("mode_spacing and coupling must be positive")
-        if self.monitor_rate < 0:
-            raise ValueError("monitor_rate must be >= 0")
+        super().__post_init__()
         if self.detuning_offsets is not None:
             off = np.asarray(self.detuning_offsets, dtype=float)
             if off.shape != (self.n_modes,):

@@ -1,56 +1,28 @@
-"""Named scenario presets with declared, bounded parameters.
+"""Named scenario presets, derived from the declared fields of the config dataclasses.
 
-Each entry knows how to validate its parameter map and how to run itself,
-producing a time-indexed trace, a summary of fitted quantities, and an
-invariant audit (trace drift, hermiticity drift, minimum eigenvalue).
+A preset is a config class, the defaults it overrides, the fields it
+exposes, a record stride, a time column and a description.  Its `params`
+are the exposed fields' declarations (`decolab.params`), keyed by config
+key; `configure` builds and so validates the config object, and `run`
+runs it, producing a time-indexed trace, a summary of fitted quantities,
+and an invariant audit (trace drift, hermiticity drift, minimum eigenvalue).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from ..errors import ConfigError
 from ..hilbert import offdiagonal_coherence
 from ..localization import ObservableTrace, record_steps
+from ..params import Param, declared
 from .twoslit import TwoSlitConfig, two_slit_run, visibility_exponent
 from .chiral import ChiralConfig, chiral_run, classify_regime, relaxation_rate
-from .charge import ChargeModel, charge_reduced_density
+from .charge import ChargeConfig, ChargeModel, charge_reduced_density
 from .decay import DecayConfig, decay_run, golden_rule_rate, revival_time, survival_peak, exponential_fit
-from .chain import MeasurementChain, run_chain
-
-
-@dataclass(frozen=True)
-class ParamSpec:
-    default: float | int | bool
-    kind: type = float
-    minimum: float | None = None
-    maximum: float | None = None
-    exclusive_min: bool = False
-    constraint: str = ""
-
-    def coerce(self, raw: str):
-        try:
-            if self.kind is bool:
-                if raw.lower() in ("true", "1", "yes"):
-                    return True
-                if raw.lower() in ("false", "0", "no"):
-                    return False
-                raise ValueError(raw)
-            return self.kind(raw)
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse {raw!r} as {self.kind.__name__}") from exc
-
-    def check(self, name: str, value):
-        bad_low = self.minimum is not None and (
-            value < self.minimum or (self.exclusive_min and value == self.minimum)
-        )
-        if bad_low:
-            raise ConfigError(f"out of bounds: {self.constraint or f'{name} >= {self.minimum}'}")
-        if self.maximum is not None and value > self.maximum:
-            raise ConfigError(f"out of bounds: {self.constraint or f'{name} <= {self.maximum}'}")
+from .chain import ChainConfig, MeasurementChain, run_chain
 
 
 @dataclass
@@ -64,22 +36,32 @@ class ScenarioResult:
 class ScenarioDef:
     name: str
     description: str
-    params: dict
-    run: Callable[[dict, int, int], ScenarioResult]
+    params: dict[str, Param]  # config key -> declaration, with this preset's default
+    configure: Callable[[dict, int], object]  # (parameters, record stride) -> validated config
+    run: Callable[[dict, int, int], ScenarioResult]  # (parameters, seed, record stride)
     time_column: str = "time"
     default_stride: int = 1
 
 
-def _min_eig_2x2(rho: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(rho)[0])
+def preset(name: str, description: str, config: type, body: Callable[[object, int], ScenarioResult], *,
+           stride: int, time_column: str = "time", hide: tuple[str, ...] = (), **overrides) -> ScenarioDef:
+    """A scenario that runs body(config(...), seed) on every declared field of config but those in hide.
+
+    overrides gives a declared field a new default, or any other field a fixed value.
+    """
+    exposed = {f: d for f, d in declared(config).items() if f not in hide}
+    params = {d.key: replace(d, default=overrides.pop(f, d.default)) for f, d in exposed.items()}
+
+    def configure(p: dict, record_stride: int):
+        return config(**overrides, **{f: p[d.key] for f, d in exposed.items()}, record_stride=record_stride)
+
+    def run(p: dict, seed: int, record_stride: int) -> ScenarioResult:
+        return body(configure(p, record_stride), seed)
+
+    return ScenarioDef(name, description, params, configure, run, time_column, stride)
 
 
-def _run_two_slit(p: dict, seed: int, record_stride: int) -> ScenarioResult:
-    cfg = TwoSlitConfig(
-        slit_separation=p["slit_separation"], packet_width=p["packet_width"],
-        mass=p["mass"], lam=p["lambda"], t_final=p["t_final"], dt=p["dt"],
-        n_points=int(p["n_points"]), record_stride=record_stride,
-    )
+def _run_two_slit(cfg: TwoSlitConfig, seed: int) -> ScenarioResult:
     trace, final = two_slit_run(cfg)
     t, rec = trace.as_arrays()
     v = rec["visibility"]
@@ -89,16 +71,17 @@ def _run_two_slit(p: dict, seed: int, record_stride: int) -> ScenarioResult:
         "visibility_half_life": half_life if half_life is not None else "none detected",
     }
     if cfg.lam > 0:
-        k, resid = visibility_exponent(trace)
+        try:
+            k, resid = visibility_exponent(trace)
+        except ValueError:
+            k = resid = "not resolved"
         summary["decay_exponent"] = k
         summary["decay_exponent_residual"] = resid
     audit = final.audit()
     return ScenarioResult(trace, summary, audit)
 
 
-def _run_chiral(p: dict, seed: int, record_stride: int) -> ScenarioResult:
-    cfg = ChiralConfig(omega=p["omega"], gamma=p["gamma"], t_final=p["t_final"],
-                       dt=p["dt"], record_stride=record_stride)
+def _run_chiral(cfg: ChiralConfig, seed: int) -> ScenarioResult:
     trace, rho = chiral_run(cfg)
     t, rec = trace.as_arrays()
     summary = {"regime": classify_regime(cfg)}
@@ -110,20 +93,18 @@ def _run_chiral(p: dict, seed: int, record_stride: int) -> ScenarioResult:
     audit = {
         "trace_drift": float(np.max(np.abs(rec["trace"] - 1.0))),
         "hermiticity_drift": float(np.max(np.abs(rho - rho.conj().T))),
-        "min_eigenvalue": _min_eig_2x2(rho),
+        "min_eigenvalue": float(np.linalg.eigvalsh(rho)[0]),
     }
     return ScenarioResult(trace, summary, audit)
 
 
-def _run_charge(p: dict, seed: int, record_stride: int) -> ScenarioResult:
-    q = int(p["n_charges"])
-    shells = int(p["shells"])
-    overlap = p["overlap"]
+def _run_charge(cfg: ChargeConfig, seed: int) -> ScenarioResult:
+    q = cfg.n_charges
     amps = np.full(q, 1.0 / math.sqrt(q))
-    gram = np.full((q, q), overlap, dtype=complex)
+    gram = np.full((q, q), cfg.overlap, dtype=complex)
     np.fill_diagonal(gram, 1.0)
     trace = ObservableTrace()
-    for r in record_steps(shells, max(1, record_stride)):
+    for r in record_steps(cfg.shells, cfg.record_stride):
         reduced = charge_reduced_density(ChargeModel(amps, r, gram))
         trace.append(float(r), {"offdiagonal_sum": offdiagonal_coherence(reduced)})
     rho = reduced.entries  # the last record is at r = shells
@@ -139,12 +120,7 @@ def _run_charge(p: dict, seed: int, record_stride: int) -> ScenarioResult:
     return ScenarioResult(trace, summary, audit)
 
 
-def _run_decay(p: dict, seed: int, record_stride: int, monitored: bool) -> ScenarioResult:
-    cfg = DecayConfig(
-        n_modes=int(p["n_modes"]), mode_spacing=p["mode_spacing"], coupling=p["coupling"],
-        monitored=monitored, monitor_rate=p["monitor_rate"], t_final=p["t_final"],
-        dt=p["dt"], record_stride=record_stride,
-    )
+def _run_decay(cfg: DecayConfig, seed: int) -> ScenarioResult:
     trace, rho = decay_run(cfg)
     t, rec = trace.as_arrays()
     try:
@@ -177,10 +153,9 @@ def _run_decay(p: dict, seed: int, record_stride: int, monitored: bool) -> Scena
     return ScenarioResult(trace, summary, audit)
 
 
-def _run_chain(p: dict, seed: int, record_stride: int) -> ScenarioResult:
-    n = int(p["n_outcomes"])
-    runs = int(p["runs"])
-    amp_rng = np.random.Generator(np.random.Philox(key=int(p["amplitude_seed"])))
+def _run_chain(cfg: ChainConfig, seed: int) -> ScenarioResult:
+    n, runs = cfg.n_outcomes, cfg.runs
+    amp_rng = np.random.Generator(np.random.Philox(key=cfg.amplitude_seed))
     raw = amp_rng.normal(size=n) + 1j * amp_rng.normal(size=n)
     amps = raw / np.linalg.norm(raw)
     chain = MeasurementChain(amps, seed=seed)
@@ -193,9 +168,10 @@ def _run_chain(p: dict, seed: int, record_stride: int) -> ScenarioResult:
     edges[-1] = 1.0
     outcomes = np.searchsorted(edges, u, side="right")
     trace = ObservableTrace()
-    stride = max(1, record_stride)
-    for m in range(stride, runs + 1, stride):
-        counts = np.bincount(outcomes[:m], minlength=n)
+    counts, done = np.zeros(n, dtype=np.int64), 0
+    for m in record_steps(runs, cfg.record_stride)[1:]:
+        counts += np.bincount(outcomes[done:m], minlength=n)  # each run counted once
+        done = m
         trace.append(float(m), {f"f_{k}": counts[k] / m for k in range(n)})
     freqs = record.frequencies
     sigma = np.sqrt(probs * (1 - probs) / runs)
@@ -208,101 +184,24 @@ def _run_chain(p: dict, seed: int, record_stride: int) -> ScenarioResult:
     return ScenarioResult(trace, summary, audit)
 
 
-SCENARIOS: dict[str, ScenarioDef] = {
-    "two-slit": ScenarioDef(
-        name="two-slit",
-        description="Interference visibility of two separated packets under localization",
-        params={
-            "slit_separation": ParamSpec(1.0, float, minimum=0.0, exclusive_min=True, constraint="slit_separation > 0"),
-            "packet_width": ParamSpec(0.05, float, minimum=0.0, exclusive_min=True, constraint="packet_width > 0"),
-            "mass": ParamSpec(math.inf, float, minimum=0.0, exclusive_min=True, constraint="mass > 0"),
-            "lambda": ParamSpec(1.0, float, minimum=0.0, constraint="lambda >= 0"),
-            "t_final": ParamSpec(1.0, float, minimum=0.0, exclusive_min=True, constraint="t_final > 0"),
-            "dt": ParamSpec(0.01, float, minimum=0.0, exclusive_min=True, constraint="dt > 0"),
-            "n_points": ParamSpec(256, int, minimum=16, constraint="n_points >= 16"),
-        },
-        run=_run_two_slit,
-        default_stride=1,
-    ),
-    "chiral-sugar": ScenarioDef(
-        name="chiral-sugar",
-        description="Strongly monitored chiral molecule (sugar-like); the physical "
-                    "anchor is a ~1e-9 s decoherence time, shipped here in scaled "
-                    "units as gamma = 50*omega",
-        params={
-            "omega": ParamSpec(1.0, float, minimum=0.0, constraint="omega >= 0"),
-            "gamma": ParamSpec(50.0, float, minimum=0.0, constraint="gamma >= 0"),
-            "t_final": ParamSpec(100.0, float, minimum=0.0, exclusive_min=True, constraint="t_final > 0"),
-            "dt": ParamSpec(0.001, float, minimum=0.0, exclusive_min=True, constraint="dt > 0"),
-        },
-        run=_run_chiral,
-        default_stride=100,
-    ),
-    "chiral-ph3-like": ScenarioDef(
-        name="chiral-ph3-like",
-        description="Weakly monitored chiral molecule: near-unitary parity oscillation",
-        params={
-            "omega": ParamSpec(1.0, float, minimum=0.0, constraint="omega >= 0"),
-            "gamma": ParamSpec(0.05, float, minimum=0.0, constraint="gamma >= 0"),
-            "t_final": ParamSpec(20.0, float, minimum=0.0, exclusive_min=True, constraint="t_final > 0"),
-            "dt": ParamSpec(0.001, float, minimum=0.0, exclusive_min=True, constraint="dt > 0"),
-        },
-        run=_run_chiral,
-        default_stride=20,
-    ),
-    "charge-shells": ScenarioDef(
-        name="charge-shells",
-        description="Charge superposition decohered by its Coulomb field, shell by shell",
-        params={
-            "n_charges": ParamSpec(2, int, minimum=2, constraint="n_charges >= 2"),
-            "shells": ParamSpec(1000, int, minimum=0, constraint="shells >= 0"),
-            "overlap": ParamSpec(0.99, float, minimum=0.0, maximum=1.0, constraint="0 <= overlap <= 1"),
-        },
-        run=_run_charge,
-        time_column="shell",
-        default_stride=50,
-    ),
-    "decay-cavity": ScenarioDef(
-        name="decay-cavity",
-        description="Unitary decay into a uniform discrete bath; revival at 2*pi/spacing",
-        params={
-            "n_modes": ParamSpec(161, int, minimum=1, constraint="n_modes >= 1"),
-            "mode_spacing": ParamSpec(0.5, float, minimum=0.0, exclusive_min=True, constraint="mode_spacing > 0"),
-            "coupling": ParamSpec(0.5641895835477563, float, minimum=0.0, exclusive_min=True, constraint="coupling > 0"),
-            "monitor_rate": ParamSpec(0.0, float, minimum=0.0, constraint="monitor_rate >= 0"),
-            "t_final": ParamSpec(16.0, float, minimum=0.0, exclusive_min=True, constraint="t_final > 0"),
-            "dt": ParamSpec(0.005, float, minimum=0.0, exclusive_min=True, constraint="dt > 0"),
-        },
-        run=lambda p, s, r: _run_decay(p, s, r, monitored=False),
-        default_stride=10,
-    ),
-    "decay-monitored": ScenarioDef(
-        name="decay-monitored",
-        description="Same bath with excited/decayed dephasing: exponential decay, no revival",
-        params={
-            "n_modes": ParamSpec(161, int, minimum=1, constraint="n_modes >= 1"),
-            "mode_spacing": ParamSpec(0.5, float, minimum=0.0, exclusive_min=True, constraint="mode_spacing > 0"),
-            "coupling": ParamSpec(0.5641895835477563, float, minimum=0.0, exclusive_min=True, constraint="coupling > 0"),
-            "monitor_rate": ParamSpec(80.0, float, minimum=0.0, constraint="monitor_rate >= 0"),
-            "t_final": ParamSpec(16.0, float, minimum=0.0, exclusive_min=True, constraint="t_final > 0"),
-            "dt": ParamSpec(0.005, float, minimum=0.0, exclusive_min=True, constraint="dt > 0"),
-        },
-        run=lambda p, s, r: _run_decay(p, s, r, monitored=True),
-        default_stride=10,
-    ),
-    "born-chain": ScenarioDef(
-        name="born-chain",
-        description="Measurement chain sampling: empirical frequencies against |c_n|^2",
-        params={
-            "n_outcomes": ParamSpec(4, int, minimum=2, constraint="n_outcomes >= 2"),
-            "runs": ParamSpec(100000, int, minimum=1, constraint="runs >= 1"),
-            "amplitude_seed": ParamSpec(1, int, minimum=0, constraint="amplitude_seed >= 0"),
-        },
-        run=_run_chain,
-        time_column="runs",
-        default_stride=1000,
-    ),
-}
+SCENARIOS: dict[str, ScenarioDef] = {s.name: s for s in (
+    preset("two-slit", "Interference visibility of two separated packets under localization",
+           TwoSlitConfig, _run_two_slit, stride=1),
+    preset("chiral-sugar", "Strongly monitored chiral molecule (sugar-like); the physical "
+                           "anchor is a ~1e-9 s decoherence time, shipped here in scaled "
+                           "units as gamma = 50*omega",
+           ChiralConfig, _run_chiral, stride=100, gamma=50.0, t_final=100.0),
+    preset("chiral-ph3-like", "Weakly monitored chiral molecule: near-unitary parity oscillation",
+           ChiralConfig, _run_chiral, stride=20, gamma=0.05),
+    preset("charge-shells", "Charge superposition decohered by its Coulomb field, shell by shell",
+           ChargeConfig, _run_charge, stride=50, time_column="shell"),
+    preset("decay-cavity", "Unitary decay into a uniform discrete bath; revival at 2*pi/spacing",
+           DecayConfig, _run_decay, stride=10, hide=("monitor_rate",)),
+    preset("decay-monitored", "Same bath with excited/decayed dephasing: exponential decay, no revival",
+           DecayConfig, _run_decay, stride=10, monitored=True),
+    preset("born-chain", "Measurement chain sampling: empirical frequencies against |c_n|^2",
+           ChainConfig, _run_chain, stride=1000, time_column="runs"),
+)}
 
 
 def scenario_names() -> list[str]:

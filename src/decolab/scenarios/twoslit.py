@@ -13,30 +13,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import PreconditionError
+from ..errors import ConfigError, PreconditionError
 from ..localization import (
-    GridDensityMatrix, GridSpec, ObservableTrace, _kinetic_phase, _march, gaussian_packet, step_count,
+    MIN_POINTS, GridDensityMatrix, GridSpec, ObservableTrace, _kinetic_phase, _march, gaussian_packet, step_count,
 )
+from ..params import Declared, param
 
 
 @dataclass
-class TwoSlitConfig:
-    slit_separation: float = 1.0
-    packet_width: float = 0.05
-    mass: float = math.inf
-    lam: float = 1.0
-    t_final: float = 1.0
-    dt: float = 0.01
-    n_points: int = 256
+class TwoSlitConfig(Declared):
+    slit_separation: float = param(1.0, above=0)
+    packet_width: float = param(0.05, above=0)
+    mass: float = param(math.inf, above=0, infinite=True)
+    lam: float = param(1.0, at_least=0, key="lambda")
+    t_final: float = param(1.0, above=0)
+    dt: float = param(0.01, above=0)
+    n_points: int = param(256, at_least=MIN_POINTS)
     half_width: float | None = None  # grid spans [-half_width, half_width)
     record_stride: int = 1
 
     def __post_init__(self):
+        super().__post_init__()
         if self.slit_separation <= 2.0 * self.packet_width:
-            raise ValueError("slit separation must exceed twice the packet width")
-        for name in ("slit_separation", "packet_width", "lam", "t_final", "dt"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be positive")
+            raise ConfigError(f"slit_separation = {self.slit_separation} must exceed "
+                              f"2 * packet_width = {2.0 * self.packet_width}")
 
     def grid(self) -> GridSpec:
         half = self.half_width or 2.0 * self.slit_separation

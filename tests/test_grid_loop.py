@@ -36,7 +36,7 @@ def _strang_reference(rho, grid, mass, lam, dt, n_steps):
     return states
 
 
-@pytest.mark.parametrize("n_points", [128, 256])
+@pytest.mark.parametrize("n_points", [128, 256, 300])
 @pytest.mark.parametrize("stride", [1, 3])
 def test_two_slit_matches_per_step_strang_loop(n_points, stride):
     cfg = TwoSlitConfig(slit_separation=1.0, packet_width=0.1, mass=5.0, lam=1.0, t_final=0.1, dt=0.01,
@@ -55,7 +55,7 @@ def test_two_slit_matches_per_step_strang_loop(n_points, stride):
     assert np.max(np.abs(final.rho - states[-1])) < 1e-12 * np.max(np.abs(states[-1]))
 
 
-@pytest.mark.parametrize("n_points", [128, 256])
+@pytest.mark.parametrize("n_points", [128, 256, 300])
 @pytest.mark.parametrize("stride", [1, 3])
 def test_evolve_matches_per_step_strang_loop(n_points, stride):
     grid = GridSpec(n_points, -6.0, 6.0)

@@ -290,3 +290,51 @@ def test_cli_summarize(tmp_path, monkeypatch, capsys):
 def test_cli_summarize_no_traces(capsys):
     assert main(["summarize"]) == 0
     assert capsys.readouterr().out == "no traces\n"
+
+
+@pytest.mark.parametrize("text, code, message", [
+    ("[two-slit]\nn_points = 300\n", 0, None),  # any grid size from 16 up
+    ("[two-slit]\nlambda = 1e6\n", 0, None),  # visibility 0 after one step: the exponent is not resolved
+    ("[two-slit]\nslit_separation = 0.05\n", 2, "slit_separation = 0.05 must exceed 2 * packet_width = 0.1"),
+    ("[decay-cavity]\nmonitor_rate = 80\n", 2, "unknown key 'monitor_rate'"),  # the unitary run reads no rate
+    ("[two-slit]\nt_final = inf\n", 2, "t_final must be finite"),
+    ("[charge-shells]\noverlap = nan\n", 2, "out of bounds"),
+    (f"[born-chain]\namplitude_seed = {2**128}\n", 2, "amplitude_seed must be below 2**128"),
+    ("[decay-cavity]\ncoupling = 1e200\n", 3, "precondition failure"),  # the golden-rule rate overflows
+])
+def test_cli_run_exit_codes(text, code, message, tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{text}output = run.csv\n")
+    monkeypatch.setenv("DECOLAB_OUTDIR", str(tmp_path))
+    assert main(["run", str(cfg)]) == code
+    if message is not None:
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
+    else:
+        _, data = read_trace_csv(str(tmp_path / "run.csv"))
+        assert data[-1, 0] == pytest.approx(1.0)
+
+
+def test_cli_run_refuses_a_bad_section_before_running_any(tmp_path, monkeypatch):
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text("[charge-shells]\nshells = 10\n[two-slit]\nslit_separation = 0.05\n")
+    monkeypatch.setenv("DECOLAB_OUTDIR", str(tmp_path))
+    assert main(["run", str(cfg)]) == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("runs, rows", [(2500, [1000, 2000, 2500]), (999, [999]), (4000, [1000, 2000, 3000, 4000])])
+def test_born_chain_records_up_to_the_last_run(runs, rows, tmp_path, monkeypatch):
+    monkeypatch.setenv("DECOLAB_OUTDIR", str(tmp_path))
+    report = execute(parse_config(f"[born-chain]\nruns = {runs}\n")[0])
+    header, data = read_trace_csv(report.trace_path)
+    assert list(data[:, 0]) == rows
+    assert np.allclose(data[:, 1:].sum(axis=1), 1.0)
+
+
+@pytest.mark.parametrize("text", ["runs,f_0,f_1\n", "time\n0\n1\n", "time\n"])
+def test_cli_summarize_refuses_a_trace_without_rows_or_observables(text, tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    assert main(["summarize", str(path)]) == 2
+    assert "trace schema" in capsys.readouterr().err
