@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, InvariantError, PreconditionError, UnsupportedConfigError
+from .errors import ConfigError, InvariantError, PreconditionError
 from .runner import execute, parse_config, summarize, format_summary_table
 from .scenarios.registry import SCENARIOS
 
@@ -36,7 +36,7 @@ def _cmd_run(args) -> int:
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        except (PreconditionError, UnsupportedConfigError, ArithmeticError) as exc:  # or out of float range
+        except (PreconditionError, ArithmeticError) as exc:  # or out of float range
             print(f"precondition failure in [{cfg.scenario}]: {exc}", file=sys.stderr)
             print(f"config echo:\n{_echo(cfg)}", file=sys.stderr)
             return 3
@@ -45,7 +45,8 @@ def _cmd_run(args) -> int:
             print(f"config echo:\n{_echo(cfg)}", file=sys.stderr)
             return 4
         audit = report.audit
-        if audit["trace_drift"] > AUDIT_TRACE_TOL or audit["min_eigenvalue"] < AUDIT_EIG_FLOOR:
+        eig = audit["min_eigenvalue"]  # None where the run does not measure it
+        if audit["trace_drift"] > AUDIT_TRACE_TOL or (eig is not None and eig < AUDIT_EIG_FLOOR):
             print(f"invariant audit failed for [{cfg.scenario}]: {audit}", file=sys.stderr)
             status = 4
             continue

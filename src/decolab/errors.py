@@ -11,7 +11,3 @@ class PreconditionError(ValueError):
 
 class InvariantError(RuntimeError):
     """A kinematic invariant (trace, hermiticity, positivity) drifted mid-run."""
-
-
-class UnsupportedConfigError(ValueError):
-    """The configuration is valid but outside the supported model class."""

@@ -251,6 +251,32 @@ def entanglement_entropy(rho: DensityMatrix) -> float:
     return float(-np.sum(evals * np.log(evals)))
 
 
+def check_gram(g) -> np.ndarray:
+    """g as a complex array; ValueError unless it is a Gram matrix: unit diagonal, hermitian, positive semidefinite."""
+    g = np.asarray(g, dtype=complex)
+    if np.max(np.abs(np.diag(g) - 1.0)) > NORM_TOL:
+        raise ValueError("overlap table must have unit diagonal")
+    if np.max(np.abs(g - g.conj().T)) > HERM_TOL:
+        raise ValueError("overlap table must be hermitian")
+    if np.linalg.eigvalsh(g)[0] < EIG_FLOOR:
+        raise ValueError("overlap table must be positive semidefinite")
+    return g
+
+
+def audit(rho: np.ndarray, weight: float = 1.0) -> dict[str, float]:
+    """Invariant audit of the entries of a density matrix whose probability operator is rho * weight.
+
+    Returns the trace drift |tr(rho) weight - 1|, the hermiticity drift max |rho - rho^dag|
+    over the raw entries and the smallest eigenvalue of rho * weight.  The weight is the
+    spacing dx of a grid density matrix, 1 for a finite-dimensional one.
+    """
+    return {
+        "trace_drift": abs(float(np.trace(rho).real) * weight - 1.0),
+        "hermiticity_drift": float(np.max(np.abs(rho - rho.conj().T))),
+        "min_eigenvalue": float(np.linalg.eigvalsh(rho)[0]) * weight,
+    }
+
+
 def offdiagonal_coherence(rho: DensityMatrix) -> float:
     """Sum of |rho_mn| over m != n in the stored (computational) basis."""
     a = np.abs(rho.entries)

@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvariantError, PreconditionError
+from .hilbert import audit
 
 
 MIN_POINTS = 16
@@ -40,10 +41,6 @@ class GridSpec:
     @property
     def dx(self) -> float:
         return (self.x_max - self.x_min) / self.n_points
-
-    @property
-    def length(self) -> float:
-        return self.x_max - self.x_min
 
     @property
     def x(self) -> np.ndarray:
@@ -86,16 +83,8 @@ class GridDensityMatrix:
     def trace(self) -> float:
         return float(np.real(np.sum(np.diag(self.rho)))) * self.grid.dx
 
-    def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of rho*dx (the discrete probability operator)."""
-        return float(np.linalg.eigvalsh(self.rho)[0]) * self.grid.dx
-
     def audit(self) -> dict[str, float]:
-        return {
-            "trace_drift": abs(self.trace() - 1.0),
-            "hermiticity_drift": float(np.max(np.abs(self.rho - self.rho.conj().T))),
-            "min_eigenvalue": self.min_eigenvalue(),
-        }
+        return audit(self.rho, self.grid.dx)
 
 
 @dataclass
@@ -127,6 +116,23 @@ class ObservableTrace:
 
     def as_arrays(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         return np.asarray(self.times), {k: np.asarray(v) for k, v in self.records.items()}
+
+
+def fit_exponent(t: np.ndarray, y: np.ndarray, window: tuple[float, float] = (-math.inf, math.inf),
+                 floor: float = 0.0) -> tuple[float, float, float]:
+    """Least-squares fit of y = amplitude * exp(-rate t) to the samples in window (inclusive) with y > floor.
+
+    Returns (rate, amplitude, residual), the residual being the largest relative
+    deviation |y - model| / model over those samples.  Raises ValueError when
+    fewer than 2 samples qualify.
+    """
+    m = (t >= window[0]) & (t <= window[1]) & (y > floor)
+    if m.sum() < 2:
+        raise ValueError(f"fewer than 2 samples above {floor:g} in the fit window [{window[0]:.6g}, {window[1]:.6g}]")
+    coef = np.polyfit(t[m], np.log(y[m]), 1)
+    rate, amplitude = -coef[0], math.exp(coef[1])
+    model = amplitude * np.exp(-rate * t[m])
+    return float(rate), amplitude, float(np.max(np.abs(y[m] - model) / model))
 
 
 def step_count(t_final: float, dt: float) -> int:
@@ -301,16 +307,6 @@ def _record(s: GridDensityMatrix, names) -> dict[str, float]:
     if "purity" in names:
         out["purity"] = float(np.vdot(s.rho, s.rho).real) * s.grid.dx**2  # sum |rho_ij|^2 = tr(rho^2)
     return out
-
-
-def suggested_dt(s: GridDensityMatrix) -> float:
-    """Heuristic step bound 0.1*min(m dx^2, 1/(lam L^2)); inf terms drop out."""
-    candidates = []
-    if math.isfinite(s.mass):
-        candidates.append(s.mass * s.grid.dx**2)
-    if s.lam > 0:
-        candidates.append(1.0 / (s.lam * s.grid.length**2))
-    return 0.1 * min(candidates) if candidates else math.inf
 
 
 def evolve(

@@ -1,4 +1,4 @@
-"""Ideal premeasurement, environmental records, erasure and monitoring.
+"""Ideal premeasurement, environmental records and erasure.
 
 The system basis states get correlated with environment states through a
 controlled rotation on the joint space.  Because the coupling is a genuine
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import StateVector, DensityMatrix, SubsystemSplit
+from .hilbert import StateVector, SubsystemSplit, check_gram
 
 
 @dataclass
@@ -55,36 +55,11 @@ class ScattererChain:
     overlaps: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
-        tables = []
-        for g in self.overlaps:
-            g = np.asarray(g, dtype=complex)
-            if np.max(np.abs(np.diag(g) - 1.0)) > 1e-12:
-                raise ValueError("overlap table must have unit diagonal")
-            if np.max(np.abs(g - g.conj().T)) > 1e-12:
-                raise ValueError("overlap table must be hermitian")
-            if np.linalg.eigvalsh(g)[0] < -1e-10:
-                raise ValueError("overlap table must be positive semidefinite")
-            tables.append(g)
-        self.overlaps = tables
+        self.overlaps = [check_gram(g) for g in self.overlaps]
 
     @property
     def n_scatterers(self) -> int:
         return len(self.overlaps)
-
-
-@dataclass
-class MonitoringChannel:
-    """Discrete-time dephasing of a two-level system at coherence rate `rate`."""
-
-    rate: float
-    dt: float
-    monitored_basis: tuple[int, int] = (0, 1)
-
-    def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError("rate must be >= 0")
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
 
 
 def rotation_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -173,18 +148,6 @@ def erase(joint: StateVector, couplings: list[PointerCoupling], subset) -> State
     for j in reversed(subset):
         state = _apply_controlled(state, 1 + j, coupling_unitaries(couplings[j]), adjoint=True)
     return state
-
-
-def monitor_step(rho: DensityMatrix, channel: MonitoringChannel) -> DensityMatrix:
-    """One dephasing step: off-diagonals shrink by exp(-rate*dt), diagonal fixed."""
-    if rho.dim != 2:
-        raise ValueError("monitor_step acts on two-level states only")
-    i, j = channel.monitored_basis
-    f = np.exp(-channel.rate * channel.dt)
-    out = rho.entries.copy()
-    out[i, j] *= f
-    out[j, i] *= f
-    return DensityMatrix(out, rho.split)
 
 
 def pointers_from_gram(gram: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ are byte-identical for identical (config, seed) pairs.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time as _time
 from dataclasses import dataclass, field
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
+from .localization import fit_exponent
 from .scenarios.registry import SCENARIOS, ScenarioDef
 
 OUTPUT_DIR_ENV = "DECOLAB_OUTDIR"
@@ -226,22 +228,11 @@ def read_trace_csv(path: str) -> tuple[list[str], np.ndarray]:
     return header, data
 
 
-def fit_exponent(t: np.ndarray, y: np.ndarray, window: tuple[float, float] | None = None) -> tuple[float, float]:
-    """Least-squares slope of log|y| over the time window; returns (rate, rms residual)."""
-    mask = np.abs(y) > 1e-300
-    if window is not None:
-        mask &= (t >= window[0]) & (t <= window[1])
-    if mask.sum() < 2:
-        raise ValueError("not enough samples in the fit window")
-    coef = np.polyfit(t[mask], np.log(np.abs(y[mask])), 1)
-    resid = float(np.sqrt(np.mean((np.log(np.abs(y[mask])) - np.polyval(coef, t[mask])) ** 2)))
-    return float(-coef[0]), resid
-
-
 def summarize(paths: list[str], column: str | None = None,
               window: tuple[float, float] | None = None) -> list[TraceSummary]:
-    """Fitted decay exponents for a list of schema-compatible trace files.
+    """Fitted decay exponents of |column| for a list of schema-compatible trace files.
 
+    The residual is the largest relative deviation from the fitted exponential.
     All traces must share the same header; a mismatch names the conflicting
     column.  An empty input list yields an empty table.
     """
@@ -261,7 +252,7 @@ def summarize(paths: list[str], column: str | None = None,
         t = data[:, 0]
         y = data[:, header.index(col)]
         try:
-            k, resid = fit_exponent(t, y, window)
+            k, _, resid = fit_exponent(t, np.abs(y), window or (-math.inf, math.inf), floor=1e-300)
         except ValueError:
             k, resid = None, None
         rows.append(TraceSummary(path, header, data.shape[0], k, resid))

@@ -1,34 +1,17 @@
 """Worked decoherence situations, each reproducible from a small config."""
 
-from .twoslit import TwoSlitConfig, two_slit_visibility, two_slit_run, visibility_exponent
-from .chiral import (
-    ChiralConfig,
-    chiral_dynamics,
-    chiral_run,
-    classify_regime,
-    relaxation_rate,
-    time_to_reach,
-)
+from .twoslit import TwoSlitConfig, two_slit_run
+from .chiral import ChiralConfig, chiral_run, classify_regime
 from .charge import ChargeModel, charge_reduced_density
-from .decay import (
-    DecayConfig,
-    decay_survival,
-    decay_run,
-    revival_time,
-    golden_rule_rate,
-    survival_peak,
-    exponential_fit,
-)
+from .decay import DecayConfig, decay_run, revival_time, golden_rule_rate, survival_peak
 from .chain import MeasurementChain, FrequencyRecord, build_chain_state, run_chain
 from .registry import SCENARIOS, scenario_names
 
 __all__ = [
-    "TwoSlitConfig", "two_slit_visibility", "two_slit_run", "visibility_exponent",
-    "ChiralConfig", "chiral_dynamics", "chiral_run", "classify_regime",
-    "relaxation_rate", "time_to_reach",
+    "TwoSlitConfig", "two_slit_run",
+    "ChiralConfig", "chiral_run", "classify_regime",
     "ChargeModel", "charge_reduced_density",
-    "DecayConfig", "decay_survival", "decay_run", "revival_time",
-    "golden_rule_rate", "survival_peak", "exponential_fit",
+    "DecayConfig", "decay_run", "revival_time", "golden_rule_rate", "survival_peak",
     "MeasurementChain", "FrequencyRecord", "build_chain_state", "run_chain",
     "SCENARIOS", "scenario_names",
 ]

@@ -66,6 +66,7 @@ class MeasurementChain:
 class FrequencyRecord:
     counts: np.ndarray
     seed: int
+    outcomes: np.ndarray | None = None  # the sampled outcome of each run, in run order
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
@@ -112,4 +113,4 @@ def run_chain(chain: MeasurementChain, runs: int, seed: int | None = None) -> Fr
     edges[-1] = 1.0  # guard against rounding
     outcomes = np.searchsorted(edges, u, side="right")
     counts = np.bincount(outcomes, minlength=chain.n_outcomes)
-    return FrequencyRecord(counts, seed)
+    return FrequencyRecord(counts, seed, outcomes)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..hilbert import DensityMatrix, SubsystemSplit
+from ..hilbert import DensityMatrix, SubsystemSplit, check_gram
 from ..params import Declared, param
 
 
@@ -37,17 +37,10 @@ class ChargeModel:
             raise ValueError("charge amplitudes must be normalized")
         if self.shells < 0:
             raise ValueError("shell count must be >= 0")
-        g = np.asarray(self.per_shell_overlap, dtype=complex)
         q = len(self.amplitudes)
-        if g.shape != (q, q):
+        if np.shape(self.per_shell_overlap) != (q, q):
             raise ValueError("overlap table must be square over the charge values")
-        if np.max(np.abs(np.diag(g) - 1.0)) > 1e-12:
-            raise ValueError("overlap table must have unit diagonal")
-        if np.max(np.abs(g - g.conj().T)) > 1e-12:
-            raise ValueError("overlap table must be hermitian")
-        if np.linalg.eigvalsh(g)[0] < -1e-10:
-            raise ValueError("overlap table must be positive semidefinite")
-        self.per_shell_overlap = g
+        self.per_shell_overlap = check_gram(self.per_shell_overlap)
 
     @property
     def n_charges(self) -> int:

@@ -42,7 +42,7 @@ def _check_step(cfg: ChiralConfig):
         raise PreconditionError(f"dt = {cfg.dt} exceeds the step bound 0.05/max(omega, gamma) = {bound:.3g}")
 
 
-def chiral_dynamics(cfg: ChiralConfig) -> ObservableTrace:
+def chiral_run(cfg: ChiralConfig) -> tuple[ObservableTrace, np.ndarray]:
     """Evolve |L><L| under tunneling + chirality monitoring; record P_L and coherence.
 
     One step is a Strang split: exact half tunneling unitary, full
@@ -50,13 +50,8 @@ def chiral_dynamics(cfg: ChiralConfig) -> ObservableTrace:
     unitary.  That step is a fixed linear map, so a run applies its
     record_stride-th power once per record (a lower power for a last,
     partial stride).  With gamma = 0 the composition is the exact Rabi
-    evolution.
+    evolution.  Also returns the final 2x2 density matrix.
     """
-    return chiral_run(cfg)[0]
-
-
-def chiral_run(cfg: ChiralConfig) -> tuple[ObservableTrace, np.ndarray]:
-    """Like chiral_dynamics, but also returns the final 2x2 density matrix."""
     _check_step(cfg)
     n_steps = step_count(cfg.t_final, cfg.dt)
     c, s = math.cos(cfg.omega * cfg.dt / 4.0), math.sin(cfg.omega * cfg.dt / 4.0)
@@ -91,23 +86,3 @@ def classify_regime(cfg: ChiralConfig) -> str:
     if ratio > ZENO_ABOVE:
         return "zeno"
     return "master"
-
-
-def relaxation_rate(trace: ObservableTrace, t_min: float | None = None) -> float:
-    """Fitted decay rate of P_L - 1/2 toward equilibrium (strong-monitoring regime)."""
-    t, rec = trace.as_arrays()
-    z = 2.0 * (rec["p_left"] - 0.5)
-    if t_min is None:
-        t_min = 0.05 * t[-1]
-    mask = (t >= t_min) & (z > 1e-6)
-    if mask.sum() < 4:
-        raise ValueError("trace too short or already relaxed; cannot fit a rate")
-    coef = np.polyfit(t[mask], np.log(z[mask]), 1)
-    return float(-coef[0])
-
-
-def time_to_reach(trace: ObservableTrace, level: float) -> float:
-    """First recorded time where P_L drops to `level` (inf if never)."""
-    t, rec = trace.as_arrays()
-    below = np.nonzero(rec["p_left"] <= level)[0]
-    return float(t[below[0]]) if len(below) else math.inf

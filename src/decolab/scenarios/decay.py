@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import PreconditionError, UnsupportedConfigError
+from ..errors import PreconditionError
 from ..localization import ObservableTrace, record_steps, step_count
 from ..params import Declared, param
 
@@ -27,29 +27,11 @@ class DecayConfig(Declared):
     n_modes: int = param(161, at_least=1)
     mode_spacing: float = param(0.5, above=0)
     coupling: float = param(0.5641895835477563, above=0)  # golden-rule rate 4.0
-    detuning_offsets: np.ndarray | None = None
     monitored: bool = False
     monitor_rate: float = param(80.0, at_least=0)  # read only when monitored
     t_final: float = param(16.0, above=0)
     dt: float = param(0.005, above=0)
     record_stride: int = 10
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.detuning_offsets is not None:
-            off = np.asarray(self.detuning_offsets, dtype=float)
-            if off.shape != (self.n_modes,):
-                raise ValueError("detuning_offsets must have one entry per mode")
-            self.detuning_offsets = off
-
-    def detunings(self) -> np.ndarray:
-        base = (np.arange(self.n_modes) - (self.n_modes - 1) / 2.0) * self.mode_spacing
-        if self.detuning_offsets is not None:
-            base = base + self.detuning_offsets
-        return base
-
-    def uniform_spacing(self) -> bool:
-        return self.detuning_offsets is None or bool(np.allclose(self.detuning_offsets, self.detuning_offsets[0]))
 
 
 def golden_rule_rate(cfg: DecayConfig) -> float:
@@ -62,7 +44,7 @@ def _hamiltonian(cfg: DecayConfig) -> np.ndarray:
     h = np.zeros((n + 1, n + 1))
     h[0, 1:] = cfg.coupling
     h[1:, 0] = cfg.coupling
-    h[np.arange(1, n + 1), np.arange(1, n + 1)] = cfg.detunings()
+    h[np.arange(1, n + 1), np.arange(1, n + 1)] = (np.arange(n) - (n - 1) / 2.0) * cfg.mode_spacing  # detunings
     return h
 
 
@@ -74,20 +56,16 @@ def _check_span(cfg: DecayConfig):
         )
 
 
-def decay_survival(cfg: DecayConfig) -> ObservableTrace:
-    """Survival probability P(t) of the excited level.
+def decay_run(cfg: DecayConfig) -> tuple[ObservableTrace, np.ndarray | None]:
+    """Survival probability P(t) of the excited level, and the final site-basis density matrix (monitored only).
 
     Both paths work in the eigenbasis of H.  Unmonitored: the exact
     amplitude sum_k |<0|k>|^2 exp(-i E_k t) at each record time.
-    Monitored: each step is the exact unitary, an elementwise phase on
-    rho, followed by dephasing exp(-monitor_rate*dt) of the
-    excited/decayed coherences (populations untouched), a rank-two update.
+    Monitored: each step is the exact unitary, an elementwise phase
+    u_j conj(u_k) on rho with u = exp(-i E dt), followed by dephasing
+    exp(-monitor_rate*dt) of the excited/decayed coherences (populations
+    untouched), a rank-two update.
     """
-    return decay_run(cfg)[0]
-
-
-def decay_run(cfg: DecayConfig) -> tuple[ObservableTrace, np.ndarray | None]:
-    """Like decay_survival; also returns the final site-basis density matrix (monitored only)."""
     n_steps = step_count(cfg.t_final, cfg.dt)
     _check_span(cfg)
     steps = record_steps(n_steps, cfg.record_stride)
@@ -105,7 +83,9 @@ def decay_run(cfg: DecayConfig) -> tuple[ObservableTrace, np.ndarray | None]:
     # rho, with r = rho w and c = <0|rho|0> = w^dag r, that is rho - (w a^dag + a w^dag)
     # where a = (1-f)(r - c w): one mat-vec and one rank-two product per step.
     w = vecs[0, :].conj().astype(complex)
-    phase = np.exp(-1j * np.subtract.outer(evals, evals) * cfg.dt)
+    u = np.exp(-1j * evals * cfg.dt)
+    phase = np.outer(u, u.conj())  # not exp(-i (E_j - E_k) dt): for large |E| dt its rounding breaks unitarity
+    np.fill_diagonal(phase, 1.0)  # |u_j|^2 = 1 exactly, so rounding does not drift the trace
     loss = 1.0 - math.exp(-cfg.monitor_rate * cfg.dt)
     left = np.column_stack([w, w])   # [w, a]
     right = np.vstack([w, w]).conj()  # [a, w]^dag
@@ -127,8 +107,6 @@ def decay_run(cfg: DecayConfig) -> tuple[ObservableTrace, np.ndarray | None]:
 
 def revival_time(cfg: DecayConfig) -> float:
     """Recurrence time 2 pi / mode spacing of the uniformly spaced bath."""
-    if not cfg.uniform_spacing():
-        raise UnsupportedConfigError("revival time is defined only for uniform mode spacing")
     return 2.0 * math.pi / cfg.mode_spacing
 
 
@@ -144,31 +122,3 @@ def survival_peak(trace: ObservableTrace, t_min: float) -> tuple[float, float]:
         raise ValueError(f"trace ends at t = {t[-1]:.6g}, before t_min = {t_min:.6g}")
     i = int(np.argmax(p[mask]))
     return float(t[mask][i]), float(p[mask][i])
-
-
-def exponential_fit(trace: ObservableTrace, t_max: float | None = None) -> tuple[float, float, float]:
-    """Fit P = A exp(-rate t); returns (rate, amplitude, max relative residual).
-
-    When t_max is None the window is chosen self-consistently as [0, 3/rate].
-    Raises ValueError when a window holds fewer than 2 positive samples or
-    the first-pass rate is not positive.
-    """
-    t, rec = trace.as_arrays()
-    p = rec["survival"]
-
-    def fit(window):
-        m = (t <= window) & (p > 0)
-        if m.sum() < 2:
-            raise ValueError(f"fewer than 2 positive samples in the fit window [0, {window:.6g}]")
-        coef = np.polyfit(t[m], np.log(p[m]), 1)
-        return -coef[0], math.exp(coef[1]), m
-
-    if t_max is None:
-        rate, _, _ = fit(max(t[len(t) // 4], t[1]))
-        if rate <= 0:
-            raise ValueError(f"first-pass rate {rate:.6g} is not positive: no decay to fit")
-        t_max = 3.0 / rate
-    rate, amp, m = fit(t_max)
-    model = amp * np.exp(-rate * t[m])
-    resid = float(np.max(np.abs(p[m] - model) / model))
-    return float(rate), float(amp), resid

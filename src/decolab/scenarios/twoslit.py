@@ -57,13 +57,8 @@ def _initial_state(cfg: TwoSlitConfig) -> tuple[GridDensityMatrix, int, int]:
     return GridDensityMatrix(grid, rho, cfg.mass, cfg.lam), i_right, i_left
 
 
-def two_slit_visibility(cfg: TwoSlitConfig) -> ObservableTrace:
-    """Evolve the two-packet state, recording V(t) at the packet-center entry."""
-    return two_slit_run(cfg)[0]
-
-
 def two_slit_run(cfg: TwoSlitConfig) -> tuple[ObservableTrace, GridDensityMatrix]:
-    """Like two_slit_visibility, but also returns the final grid state.
+    """Evolve the two-packet state, recording V(t) at the packet-center entry; also returns the final grid state.
 
     Inner records read sigma = fft2(rho) before its closing half-kick, in O(N^2):
     rho_rl = (a phi)^T sigma (b conj phi) with a_p = e^{ip(x_r-x_0)}/N, b_p likewise
@@ -92,16 +87,3 @@ def two_slit_run(cfg: TwoSlitConfig) -> tuple[ObservableTrace, GridDensityMatrix
         out.append(step * cfg.dt, {"visibility": cross / v0, "cross_peak": cross, "trace": tr})
 
     return out, _march(s0, cfg.dt, n_steps, cfg.record_stride, record)
-
-
-def visibility_exponent(trace: ObservableTrace) -> tuple[float, float]:
-    """Least-squares decay exponent of V(t) with its fit residual; V = exp(-k t)."""
-    t, rec = trace.as_arrays()
-    v = rec["visibility"]
-    mask = v > 1e-12
-    if mask.sum() < 2:
-        raise ValueError("visibility trace too short to fit")
-    coef = np.polyfit(t[mask], np.log(v[mask]), 1)
-    fit = np.polyval(coef, t[mask])
-    resid = float(np.sqrt(np.mean((np.log(v[mask]) - fit) ** 2)))
-    return float(-coef[0]), resid

@@ -21,15 +21,14 @@ from decolab.premeasure import (
     erase, pointers_from_gram,
 )
 from decolab.localization import (
-    GridSpec, gaussian_packet, pure_density, moments_of, evolve,
+    GridSpec, gaussian_packet, pure_density, moments_of, evolve, fit_exponent,
 )
 from decolab.scenarios import (
-    TwoSlitConfig, two_slit_visibility, visibility_exponent,
-    ChiralConfig, chiral_dynamics, chiral_run, relaxation_rate, time_to_reach,
+    TwoSlitConfig, two_slit_run,
+    ChiralConfig, chiral_run,
     ChargeModel, charge_reduced_density,
-    DecayConfig, decay_survival, golden_rule_rate, revival_time,
-    survival_peak, exponential_fit,
-    MeasurementChain, run_chain,
+    DecayConfig, decay_run, golden_rule_rate, revival_time, survival_peak,
+    MeasurementChain, run_chain, SCENARIOS,
 )
 from oracles import moment_ode_oracle
 
@@ -239,14 +238,14 @@ def test_criterion_5_moment_oracle():
 
 def test_criterion_6_two_slit_scaling():
     cfg_d = TwoSlitConfig(slit_separation=1.0)
-    trace = two_slit_visibility(cfg_d)
-    t, rec = trace.as_arrays()
+    t, rec = two_slit_run(cfg_d)[0].as_arrays()
     model = np.exp(-cfg_d.lam * cfg_d.slit_separation**2 * t)
     assert np.max(np.abs(rec["visibility"] - model) / model) < 0.02
 
-    k1, _ = visibility_exponent(trace)
+    k1 = fit_exponent(t, rec["visibility"], floor=1e-12)[0]
     cfg_2d = TwoSlitConfig(slit_separation=2.0, t_final=0.5)
-    k2, _ = visibility_exponent(two_slit_visibility(cfg_2d))
+    t2, rec2 = two_slit_run(cfg_2d)[0].as_arrays()
+    k2 = fit_exponent(t2, rec2["visibility"], floor=1e-12)[0]
     assert abs(k2 / k1 - 4.0) < 0.1
     _report(6, "two-slit visibility scaling")
 
@@ -257,7 +256,7 @@ def test_criterion_6_two_slit_scaling():
 def test_criterion_7_chiral_regimes():
     # free tunneling reproduces the Rabi law
     cfg = ChiralConfig(omega=1.0, gamma=0.0, t_final=20.0, dt=0.001, record_stride=10)
-    t, rec = chiral_dynamics(cfg).as_arrays()
+    t, rec = chiral_run(cfg)[0].as_arrays()
     assert np.max(np.abs(rec["p_left"] - np.cos(cfg.omega * t / 2.0) ** 2)) < 1e-4
 
     # frozen tunneling: monitoring alone moves nothing
@@ -266,14 +265,17 @@ def test_criterion_7_chiral_regimes():
 
     # strong monitoring relaxes at omega^2 / (2 gamma)
     strong = ChiralConfig(omega=1.0, gamma=50.0, t_final=100.0, dt=0.001, record_stride=100)
-    rate = relaxation_rate(chiral_dynamics(strong))
+    t, rec = chiral_run(strong)[0].as_arrays()
+    rate = fit_exponent(t, 2.0 * (rec["p_left"] - 0.5), (0.05 * t[-1], math.inf), floor=1e-6)[0]
     assert abs(rate - 1.0 / 100.0) / (1.0 / 100.0) < 0.10
 
     # monotonicity ladder: stronger monitoring never speeds up relaxation
     times = []
     for gamma in (2.0, 4.0, 8.0, 16.0):
         cfg = ChiralConfig(omega=1.0, gamma=gamma, t_final=40.0, dt=0.002, record_stride=10)
-        times.append(time_to_reach(chiral_dynamics(cfg), 0.75))
+        t, rec = chiral_run(cfg)[0].as_arrays()
+        below = np.nonzero(rec["p_left"] <= 0.75)[0]  # first record with P_L <= 0.75
+        times.append(float(t[below[0]]) if len(below) else math.inf)
     assert all(math.isfinite(x) for x in times)
     assert all(b >= a for a, b in zip(times, times[1:]))
     _report(7, "chiral monitoring regimes")
@@ -313,7 +315,7 @@ def test_criterion_9_decay_and_revival():
     gamma = golden_rule_rate(cfg)
     t_rev = revival_time(cfg)
 
-    trace = decay_survival(cfg)
+    trace = decay_run(cfg)[0]
     t, rec = trace.as_arrays()
     window = t <= 3.0 / gamma
     model = np.exp(-gamma * t[window])
@@ -322,10 +324,10 @@ def test_criterion_9_decay_and_revival():
     assert abs(peak_t - t_rev) / t_rev < 0.05
     assert peak_p > 0.5
 
-    monitored = decay_survival(DecayConfig(monitored=True))
-    _, _, resid = exponential_fit(monitored)
-    assert resid < 0.01
-    _, late_p = survival_peak(monitored, 0.6 * t_rev)
+    spec = SCENARIOS["decay-monitored"]  # DecayConfig(monitored=True) at its defaults
+    monitored = spec.run({key: p.default for key, p in spec.params.items()}, 0, spec.default_stride)
+    assert monitored.summary["fit_residual"] < 0.01
+    _, late_p = survival_peak(monitored.trace, 0.6 * t_rev)
     assert late_p < 0.05
     _report(9, "decay, revival, monitored suppression")
 

@@ -7,7 +7,7 @@ import pytest
 from decolab.localization import (
     GridSpec, GridDensityMatrix, GaussianMoments, ObservableTrace,
     gaussian_packet, pure_density, localization_step, kinetic_half_step,
-    moments_of, coherence_length, suggested_dt, evolve,
+    moments_of, coherence_length, evolve,
 )
 from oracles import moment_ode_oracle
 
@@ -109,13 +109,6 @@ def test_observable_trace_requires_increasing_times():
     tr.append(0.0, {"a": 1.0})
     with pytest.raises(ValueError):
         tr.append(0.0, {"a": 2.0})
-
-
-def test_suggested_dt():
-    s = _gaussian_state(mass=1.0, lam=0.0)
-    assert suggested_dt(s) == pytest.approx(0.1 * GRID.dx**2)
-    s_inf = _gaussian_state(mass=math.inf, lam=0.0)
-    assert suggested_dt(s_inf) == math.inf
 
 
 def test_evolve_records_and_conserves_trace():

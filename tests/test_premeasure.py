@@ -1,15 +1,15 @@
-"""Tests for premeasurement, records, erasure and monitoring."""
+"""Tests for premeasurement, records and erasure."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from decolab.hilbert import (
-    SubsystemSplit, StateVector, DensityMatrix, density_of, partial_trace, random_state,
+    SubsystemSplit, StateVector, density_of, partial_trace, random_state,
 )
 from decolab.premeasure import (
-    PointerCoupling, ScattererChain, MonitoringChannel,
+    PointerCoupling, ScattererChain,
     rotation_between, ideal_premeasure, decoherence_factor, erase,
-    monitor_step, pointers_from_gram,
+    pointers_from_gram,
 )
 
 
@@ -142,23 +142,6 @@ def test_erase_validation():
         erase(joint, [c, c], subset=(0,))  # coupling count mismatch
     with pytest.raises(ValueError):
         erase(joint, [c], subset=(3,))
-
-
-def test_monitor_step_damps_offdiagonals_only():
-    split = SubsystemSplit((2,))
-    rho = DensityMatrix(np.array([[0.5, 0.4], [0.4, 0.5]]), split)
-    out = monitor_step(rho, MonitoringChannel(rate=2.0, dt=0.5))
-    assert out.entries[0, 0] == pytest.approx(0.5)
-    assert out.entries[0, 1] == pytest.approx(0.4 * np.exp(-1.0))
-    with pytest.raises(ValueError):
-        monitor_step(DensityMatrix(np.eye(3) / 3, SubsystemSplit((3,))), MonitoringChannel(1.0, 0.1))
-
-
-def test_monitoring_channel_validation():
-    with pytest.raises(ValueError):
-        MonitoringChannel(rate=-1.0, dt=0.1)
-    with pytest.raises(ValueError):
-        MonitoringChannel(rate=1.0, dt=0.0)
 
 
 @settings(max_examples=30, deadline=None)

@@ -123,8 +123,9 @@ def test_csv_roundtrip(tmp_path):
 
 def test_fit_exponent_recovers_rate():
     t = np.linspace(0.0, 2.0, 50)
-    k, resid = fit_exponent(t, np.exp(-1.7 * t))
+    k, amplitude, resid = fit_exponent(t, np.exp(-1.7 * t))
     assert k == pytest.approx(1.7, abs=1e-10)
+    assert amplitude == pytest.approx(1.0, abs=1e-10)
     assert resid < 1e-12
     with pytest.raises(ValueError):
         fit_exponent(t, np.exp(-t), window=(5.0, 6.0))
@@ -301,6 +302,9 @@ def test_cli_summarize_no_traces(capsys):
     ("[charge-shells]\noverlap = nan\n", 2, "out of bounds"),
     (f"[born-chain]\namplitude_seed = {2**128}\n", 2, "amplitude_seed must be below 2**128"),
     ("[decay-cavity]\ncoupling = 1e200\n", 3, "precondition failure"),  # the golden-rule rate overflows
+    # |E| dt ~ 1e17: phases exp(-i (E_j - E_k) dt) lost unitarity to rounding (min eigenvalue -0.085, exit 4)
+    ("[decay-monitored]\nn_modes = 8\nmode_spacing = 6.5e16\ncoupling = 1.6e16\nmonitor_rate = 1.6e16\n"
+     "t_final = 2.00001\ndt = 2.00001\nrecord_stride = 2\n", 0, None),
 ])
 def test_cli_run_exit_codes(text, code, message, tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "run.cfg"
@@ -311,8 +315,34 @@ def test_cli_run_exit_codes(text, code, message, tmp_path, monkeypatch, capsys):
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run.csv").exists()
     else:
+        report = json.loads((tmp_path / "run.csv.report.json").read_text())
         _, data = read_trace_csv(str(tmp_path / "run.csv"))
-        assert data[-1, 0] == pytest.approx(1.0)
+        assert data[-1, 0] == pytest.approx(report["parameters"]["t_final"])
+
+
+def test_cli_run_resolves_no_relaxation_rate_while_p_left_oscillates(tmp_path, monkeypatch, capsys):
+    # the first section of configs/chiral-regimes.cfg: gamma/omega = 0.01, the unitary regime
+    cfg = tmp_path / "chiral.cfg"
+    cfg.write_text("[chiral-ph3-like]\noutput = chiral.csv\ngamma = 0.01\nt_final = 20\ndt = 0.001\n"
+                   "record_stride = 50\n")
+    monkeypatch.setenv("DECOLAB_OUTDIR", str(tmp_path))
+    assert main(["run", str(cfg)]) == 0
+    assert "relaxation_rate = not resolved" in capsys.readouterr().out
+    report = json.loads((tmp_path / "chiral.csv.report.json").read_text())
+    assert report["summary"] == {"regime": "unitary", "relaxation_rate": "not resolved"}
+
+
+def test_cli_run_reports_unmeasured_audit_fields_as_null(tmp_path, monkeypatch):
+    # the unitary decay run keeps no density matrix: only its trace drift is measured
+    cfg = tmp_path / "cavity.cfg"
+    cfg.write_text("[decay-cavity]\nt_final = 1.0\noutput = cavity.csv\n")
+    monkeypatch.setenv("DECOLAB_OUTDIR", str(tmp_path))
+    assert main(["run", str(cfg)]) == 0
+    text = (tmp_path / "cavity.csv.report.json").read_text()
+    assert '"hermiticity_drift": null' in text and '"min_eigenvalue": null' in text
+    audit = json.loads(text)["audit"]
+    assert audit["hermiticity_drift"] is None and audit["min_eigenvalue"] is None
+    assert audit["trace_drift"] < 1e-12
 
 
 def test_cli_run_refuses_a_bad_section_before_running_any(tmp_path, monkeypatch):

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from decolab.errors import PreconditionError, UnsupportedConfigError
+from decolab.errors import PreconditionError
 from decolab.hilbert import density_of, partial_trace
-from decolab.localization import ObservableTrace
+from decolab.localization import ObservableTrace, fit_exponent
 from decolab.scenarios import (
-    TwoSlitConfig, two_slit_run, two_slit_visibility, visibility_exponent,
-    ChiralConfig, chiral_dynamics, chiral_run, classify_regime, relaxation_rate, time_to_reach,
+    TwoSlitConfig, two_slit_run,
+    ChiralConfig, chiral_run, classify_regime,
     ChargeModel, charge_reduced_density,
-    DecayConfig, decay_run, decay_survival, golden_rule_rate, revival_time, survival_peak, exponential_fit,
+    DecayConfig, decay_run, golden_rule_rate, revival_time, survival_peak,
     MeasurementChain, build_chain_state, run_chain,
     SCENARIOS, scenario_names,
 )
@@ -30,11 +30,11 @@ def test_two_slit_config_validation():
 def test_two_slit_edge_precondition():
     # packets wider than the grid must be rejected, not silently wrapped
     with pytest.raises(PreconditionError):
-        two_slit_visibility(TwoSlitConfig(packet_width=0.4, half_width=0.8, t_final=0.1))
+        two_slit_run(TwoSlitConfig(packet_width=0.4, half_width=0.8, t_final=0.1))
 
 
 def test_two_slit_visibility_monotone_and_normalized():
-    trace = two_slit_visibility(TwoSlitConfig(t_final=0.5))
+    trace = two_slit_run(TwoSlitConfig(t_final=0.5))[0]
     t, rec = trace.as_arrays()
     v = rec["visibility"]
     assert v[0] == 1.0
@@ -45,7 +45,8 @@ def test_two_slit_visibility_monotone_and_normalized():
 def test_two_slit_frozen_mode_is_exact():
     cfg = TwoSlitConfig(mass=math.inf, lam=1.0, t_final=1.0, dt=0.01)
     trace, final = two_slit_run(cfg)
-    k, resid = visibility_exponent(trace)
+    t, rec = trace.as_arrays()
+    k, _, resid = fit_exponent(t, rec["visibility"], floor=1e-12)
     assert k == pytest.approx(cfg.lam * cfg.slit_separation**2, rel=1e-10)
     assert resid < 1e-12
     assert final.audit()["min_eigenvalue"] > -1e-10
@@ -53,7 +54,7 @@ def test_two_slit_frozen_mode_is_exact():
 
 def test_two_slit_finite_mass_still_decoheres():
     cfg = TwoSlitConfig(mass=50.0, lam=1.0, t_final=0.3, dt=0.005)
-    trace = two_slit_visibility(cfg)
+    trace = two_slit_run(cfg)[0]
     _, rec = trace.as_arrays()
     assert rec["visibility"][-1] < 0.8
 
@@ -64,12 +65,12 @@ def test_chiral_config_validation():
     with pytest.raises(ValueError):
         ChiralConfig(omega=-1.0)
     with pytest.raises(PreconditionError):
-        chiral_dynamics(ChiralConfig(omega=1.0, gamma=100.0, dt=0.01))
+        chiral_run(ChiralConfig(omega=1.0, gamma=100.0, dt=0.01))
 
 
 def test_chiral_rabi_oscillation():
     cfg = ChiralConfig(omega=2.0, gamma=0.0, t_final=10.0, dt=0.001, record_stride=10)
-    trace = chiral_dynamics(cfg)
+    trace = chiral_run(cfg)[0]
     t, rec = trace.as_arrays()
     exact = np.cos(cfg.omega * t / 2.0) ** 2
     assert np.max(np.abs(rec["p_left"] - exact)) < 1e-6
@@ -86,14 +87,14 @@ def test_chiral_frozen_tunneling_is_robust():
 
 def test_chiral_strong_monitoring_relaxation():
     cfg = ChiralConfig(omega=1.0, gamma=50.0, t_final=100.0, dt=0.001, record_stride=100)
-    trace = chiral_dynamics(cfg)
-    rate = relaxation_rate(trace)
+    t, rec = chiral_run(cfg)[0].as_arrays()
+    rate = fit_exponent(t, 2.0 * (rec["p_left"] - 0.5), (0.05 * t[-1], math.inf), floor=1e-6)[0]
     assert rate == pytest.approx(cfg.omega**2 / (2.0 * cfg.gamma), rel=0.05)
 
 
 def test_chiral_trace_is_conserved():
     cfg = ChiralConfig(omega=1.0, gamma=3.0, t_final=5.0, dt=0.001)
-    trace = chiral_dynamics(cfg)
+    trace = chiral_run(cfg)[0]
     _, rec = trace.as_arrays()
     assert np.max(np.abs(rec["trace"] - 1.0)) < 1e-12
 
@@ -144,14 +145,6 @@ def test_classify_regime_thresholds():
     assert classify_regime(ChiralConfig(omega=0.0, gamma=0.0)) == "unitary"
 
 
-def test_time_to_reach():
-    cfg = ChiralConfig(omega=1.0, gamma=0.0, t_final=4.0, dt=0.001, record_stride=1)
-    trace = chiral_dynamics(cfg)
-    t_half = time_to_reach(trace, 0.5)
-    assert t_half == pytest.approx(math.pi / 2.0, abs=0.01)
-    assert time_to_reach(trace, -1.0) == math.inf
-
-
 # ---------------------------------------------------------------- charge
 
 def test_charge_model_validation():
@@ -191,17 +184,15 @@ def test_charge_offdiagonal_decays_geometrically():
 def test_decay_config_validation():
     with pytest.raises(ValueError):
         DecayConfig(n_modes=0)
-    with pytest.raises(ValueError):
-        DecayConfig(detuning_offsets=np.zeros(3), n_modes=5)
 
 
 def test_decay_span_precondition():
     with pytest.raises(PreconditionError):
-        decay_survival(DecayConfig(n_modes=9, mode_spacing=0.5, coupling=1.0))
+        decay_run(DecayConfig(n_modes=9, mode_spacing=0.5, coupling=1.0))
 
 
 def test_decay_survival_starts_at_one_and_decays():
-    trace = decay_survival(DecayConfig(t_final=1.0))
+    trace = decay_run(DecayConfig(t_final=1.0))[0]
     t, rec = trace.as_arrays()
     p = rec["survival"]
     assert p[0] == pytest.approx(1.0, abs=1e-12)
@@ -212,22 +203,18 @@ def test_decay_survival_starts_at_one_and_decays():
 def test_revival_time_requires_uniform_spacing():
     cfg = DecayConfig()
     assert revival_time(cfg) == pytest.approx(2.0 * math.pi / cfg.mode_spacing)
-    rng = np.random.default_rng(0)
-    bumpy = DecayConfig(detuning_offsets=rng.normal(scale=0.01, size=161))
-    with pytest.raises(UnsupportedConfigError):
-        revival_time(bumpy)
 
 
 def test_monitored_decay_is_exponential():
-    cfg = DecayConfig(monitored=True, t_final=4.0)
-    trace = decay_survival(cfg)
-    rate, amp, resid = exponential_fit(trace)
-    assert resid < 0.01
-    assert rate > 0
+    spec = SCENARIOS["decay-monitored"]  # DecayConfig(monitored=True) but for t_final
+    params = {key: p.default for key, p in spec.params.items()}
+    summary = spec.run({**params, "t_final": 4.0}, 0, spec.default_stride).summary
+    assert summary["fit_residual"] < 0.01
+    assert summary["fitted_rate"] > 0
 
 
 def test_survival_peak_lookup():
-    trace = decay_survival(DecayConfig())
+    trace = decay_run(DecayConfig())[0]
     t_rev = revival_time(DecayConfig())
     peak_t, peak_p = survival_peak(trace, 0.6 * t_rev)
     assert peak_t >= 0.6 * t_rev
@@ -279,8 +266,8 @@ def test_decay_paths_record_at_the_same_steps():
     """Both paths record at the stride multiples and the last step, ending at t_final."""
     unmonitored = DecayConfig(t_final=1.0, dt=0.005, record_stride=7)
     monitored = DecayConfig(t_final=1.0, dt=0.005, record_stride=7, monitored=True)
-    t_u, _ = decay_survival(unmonitored).as_arrays()
-    t_m, _ = decay_survival(monitored).as_arrays()
+    t_u, _ = decay_run(unmonitored)[0].as_arrays()
+    t_m, _ = decay_run(monitored)[0].as_arrays()
     expected = np.array([*range(0, 200, 7), 200]) * 0.005
     assert np.array_equal(t_u, expected)
     assert np.array_equal(t_m, expected)
@@ -290,10 +277,10 @@ def test_fits_without_a_window_raise_value_error():
     rising = ObservableTrace()
     for t, p in ((0.0, 0.5), (1.0, 0.6), (2.0, 0.7), (3.0, 0.8)):
         rising.append(t, {"survival": p})
-    with pytest.raises(ValueError, match="not positive"):
-        exponential_fit(rising)
+    t, rec = rising.as_arrays()
+    assert fit_exponent(t, rec["survival"])[0] < 0  # a growing trace fits no decay rate
     with pytest.raises(ValueError, match="fewer than 2"):
-        exponential_fit(rising, t_max=0.5)
+        fit_exponent(t, rec["survival"], (0.0, 0.5))
     with pytest.raises(ValueError, match="before t_min"):
         survival_peak(rising, 4.0)
 
