@@ -4,6 +4,17 @@ States and density matrices over a tensor-factored Hilbert space, with
 partial trace, Schmidt decomposition and coherence/entropy diagnostics.
 Everything is dense and immutable-by-convention; target total dimensions
 are <= 2**12.
+
+Validation.  A StateVector must have the split's length and unit norm
+(NORM_TOL).  A DensityMatrix must be square over the split, hermitian
+(max |rho - rho^dag| <= HERM_TOL), of unit trace (NORM_TOL) and have no
+eigenvalue below EIG_FLOOR; an Observable must be square and hermitian;
+`check_gram` asks a Gram matrix for a unit diagonal, hermiticity and the
+same positivity.  Every test is written so that a NaN fails it, so
+non-finite entries are rejected.  The cost is O(n^2) reads
+(`hermiticity_drift`, row blocks, no n x n temporary) plus one Cholesky
+factorization (`check_positive`); eigvalsh runs only on the rejection
+path, to decide and to name the eigenvalue.
 """
 from __future__ import annotations
 
@@ -16,6 +27,47 @@ NORM_TOL = 1e-12
 HERM_TOL = 1e-12
 EIG_FLOOR = -1e-10
 DEGENERACY_TOL = 1e-8
+HERM_BLOCK = 64  # rows per block read by hermiticity_drift
+
+
+def hermiticity_drift(a: np.ndarray) -> float:
+    """max |a - a^dag| over the entries of the square matrix a; not finite if an entry is not.
+
+    Reads row blocks of HERM_BLOCK rows on and right of the diagonal against
+    the matching column blocks, so no n x n temporary is built.
+    """
+    drift = 0.0
+    for i in range(0, len(a), HERM_BLOCK):
+        # np.maximum, not max(): it carries a NaN through
+        drift = np.maximum(drift, np.abs(a[i:i + HERM_BLOCK, i:] - a[i:, i:i + HERM_BLOCK].conj().T).max())
+    return float(drift)
+
+
+def check_positive(a: np.ndarray, subject: str) -> None:
+    """ValueError naming the smallest eigenvalue if the hermitian matrix a has one below EIG_FLOOR.
+
+    A Cholesky factorization of a - (EIG_FLOOR/2) I that succeeds accepts a:
+    its smallest eigenvalue is then above EIG_FLOOR by about half the floor,
+    far beyond rounding.  Only a failed factorization pays for eigvalsh,
+    which decides by the rule min eigenvalue < EIG_FLOOR.  The diagonal is
+    shifted in place and restored exactly, so a comes back unchanged; a
+    read-only a is copied.
+    """
+    if not a.flags.writeable:
+        a = a.copy()
+    diagonal = np.einsum("ii->i", a)  # a writable view
+    saved = diagonal.copy()
+    diagonal -= EIG_FLOOR / 2.0
+    try:
+        np.linalg.cholesky(a)
+        return
+    except np.linalg.LinAlgError:
+        pass
+    finally:
+        diagonal[:] = saved
+    lo = np.linalg.eigvalsh(a)[0]
+    if lo < EIG_FLOOR:
+        raise ValueError(f"{subject}: negative eigenvalue {lo}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +119,7 @@ class StateVector:
         if self.amplitudes.ndim != 1 or len(self.amplitudes) != self.split.dim:
             raise ValueError("amplitude length must equal the split dimension")
         norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state not normalized: |psi| = {norm}")
 
     @property
@@ -85,15 +137,13 @@ class DensityMatrix:
         d = self.split.dim
         if self.entries.shape != (d, d):
             raise ValueError("entries must be a square matrix matching the split")
-        herm = np.max(np.abs(self.entries - self.entries.conj().T))
-        if herm > HERM_TOL:
+        herm = hermiticity_drift(self.entries)
+        if not herm <= HERM_TOL:
             raise ValueError(f"not hermitian: max deviation {herm}")
         tr = np.trace(self.entries)
-        if abs(tr - 1.0) > NORM_TOL:
+        if not abs(tr - 1.0) <= NORM_TOL:
             raise ValueError(f"trace {tr} != 1")
-        lo = np.linalg.eigvalsh(self.entries)[0]
-        if lo < EIG_FLOOR:
-            raise ValueError(f"negative eigenvalue {lo}")
+        check_positive(self.entries, "density matrix")
 
     @property
     def dim(self) -> int:
@@ -113,8 +163,8 @@ class Observable:
         d = self.split.dim
         if self.entries.shape != (d, d):
             raise ValueError("entries must be a square matrix matching the split")
-        herm = np.max(np.abs(self.entries - self.entries.conj().T))
-        if herm > HERM_TOL:
+        herm = hermiticity_drift(self.entries)
+        if not herm <= HERM_TOL:
             raise ValueError(f"not hermitian: max deviation {herm}")
 
 
@@ -254,12 +304,11 @@ def entanglement_entropy(rho: DensityMatrix) -> float:
 def check_gram(g) -> np.ndarray:
     """g as a complex array; ValueError unless it is a Gram matrix: unit diagonal, hermitian, positive semidefinite."""
     g = np.asarray(g, dtype=complex)
-    if np.max(np.abs(np.diag(g) - 1.0)) > NORM_TOL:
+    if not np.max(np.abs(np.diag(g) - 1.0)) <= NORM_TOL:
         raise ValueError("overlap table must have unit diagonal")
-    if np.max(np.abs(g - g.conj().T)) > HERM_TOL:
+    if not hermiticity_drift(g) <= HERM_TOL:
         raise ValueError("overlap table must be hermitian")
-    if np.linalg.eigvalsh(g)[0] < EIG_FLOOR:
-        raise ValueError("overlap table must be positive semidefinite")
+    check_positive(g, "overlap table must be positive semidefinite")
     return g
 
 
@@ -272,7 +321,7 @@ def audit(rho: np.ndarray, weight: float = 1.0) -> dict[str, float]:
     """
     return {
         "trace_drift": abs(float(np.trace(rho).real) * weight - 1.0),
-        "hermiticity_drift": float(np.max(np.abs(rho - rho.conj().T))),
+        "hermiticity_drift": hermiticity_drift(rho),
         "min_eigenvalue": float(np.linalg.eigvalsh(rho)[0]) * weight,
     }
 

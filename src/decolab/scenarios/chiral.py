@@ -67,11 +67,12 @@ def chiral_run(cfg: ChiralConfig) -> tuple[ObservableTrace, np.ndarray]:
     out.append(0.0, {"p_left": 1.0, "coherence": 0.0, "trace": 1.0})
     for n in record_steps(n_steps, stride)[1:]:
         rho = (stride_map if n % stride == 0 else tail_map) @ rho
-        rho /= (rho[0] + rho[3]).real  # counter rounding drift of the trig unitary
+        tr = (rho[0] + rho[3]).real  # recorded before renormalizing, so the column shows the map's drift
+        rho /= tr  # counter rounding drift of the trig unitary
         out.append(n * cfg.dt, {
             "p_left": float(rho[0].real),
             "coherence": float(2.0 * abs(rho[1])),
-            "trace": float((rho[0] + rho[3]).real),
+            "trace": float(tr),
         })
     return out, rho.reshape(2, 2)
 

@@ -99,9 +99,10 @@ def _run_charge(cfg: ChargeConfig, seed: int) -> ScenarioResult:
     amps = np.full(q, 1.0 / math.sqrt(q))
     gram = np.full((q, q), cfg.overlap, dtype=complex)
     np.fill_diagonal(gram, 1.0)
+    model = ChargeModel(amps, cfg.shells, gram)  # validates the Gram matrix once per run
     trace = ObservableTrace()
     for r in record_steps(cfg.shells, cfg.record_stride):
-        reduced = charge_reduced_density(ChargeModel(amps, r, gram))
+        reduced = charge_reduced_density(model, r)
         trace.append(float(r), {"offdiagonal_sum": offdiagonal_coherence(reduced)})
     rho = reduced.entries  # the last record is at r = shells
     summary = {

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decolab.hilbert import (
-    SubsystemSplit, StateVector, DensityMatrix, Observable,
+    EIG_FLOOR, HERM_BLOCK, SubsystemSplit, StateVector, DensityMatrix, Observable,
     basis_state, random_state, random_density, random_observable,
-    tensor_product, density_of, expectation, partial_trace,
+    tensor_product, density_of, expectation, partial_trace, check_gram, hermiticity_drift,
     schmidt, schmidt_reconstruct, entanglement_entropy, offdiagonal_coherence,
 )
 
@@ -44,6 +44,119 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.2, -0.2]), split)  # negative eigenvalue
     rho = DensityMatrix(np.diag([0.25, 0.75]), split)
     assert rho.purity() == pytest.approx(0.625)
+
+
+def _random_hermitian(rng, n):
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return g + g.conj().T
+
+
+@pytest.mark.parametrize("n", [1, 2, HERM_BLOCK - 1, HERM_BLOCK, HERM_BLOCK + 1, 300, 1024])
+@pytest.mark.parametrize("triangle", ["upper", "lower"])
+def test_hermiticity_drift_matches_full_matrix_expression(n, triangle):
+    """The blocked maximum equals max |a - a^dag| wherever the perturbation sits."""
+    rng = np.random.default_rng(n)
+    a = _random_hermitian(rng, n)
+    assert hermiticity_drift(a) == np.max(np.abs(a - a.conj().T))
+    r, c = (n - 1, 0) if triangle == "lower" else (0, n - 1)  # the far corner: the last row block
+    a[r, c] += 3e-9 + 2e-9j  # on the diagonal when n = 1
+    assert hermiticity_drift(a) == np.max(np.abs(a - a.conj().T)) > 1e-9
+    r, c = (n // 2, n // 3) if triangle == "lower" else (n // 3, n // 2)
+    a[r, c] += 1e-6j
+    assert hermiticity_drift(a) == np.max(np.abs(a - a.conj().T)) > 5e-7
+
+
+@pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0), (299, 299), (299, 5)])
+def test_hermiticity_drift_carries_nan(where):
+    a = _random_hermitian(np.random.default_rng(1), 300)
+    a[where] = np.nan
+    assert np.isnan(hermiticity_drift(a))
+
+
+def _state_with_min_eigenvalue(rng, n, lo):
+    """A hermitian unit-trace matrix of dimension n whose smallest eigenvalue is lo."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    rest = rng.uniform(0.5, 1.0, size=n - 1)
+    evals = np.concatenate(([lo], rest * (1.0 - lo) / rest.sum()))
+    a = (q * evals) @ q.conj().T
+    a = 0.5 * (a + a.conj().T)
+    return a / np.trace(a).real
+
+
+@pytest.mark.parametrize("n", [2, 64, 300])
+@pytest.mark.parametrize("lo", [0.0, -3e-11, -8e-11, -2e-10, -1e-6])
+def test_positivity_decision_matches_eigvalsh_rule(n, lo):
+    """Accepted exactly when eigvalsh's smallest eigenvalue is not below EIG_FLOOR."""
+    a = _state_with_min_eigenvalue(np.random.default_rng([n, 7]), n, lo)
+    rejected = np.linalg.eigvalsh(a)[0] < EIG_FLOOR
+    assert rejected == (lo < EIG_FLOOR)  # the construction is far from the floor's rounding
+    if rejected:
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityMatrix(a, SubsystemSplit((n,)))
+    else:
+        DensityMatrix(a, SubsystemSplit((n,)))
+
+
+def test_rank_one_states_are_accepted_at_dimension_1024():
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        rho = density_of(random_state(rng, SubsystemSplit((2,) * 10)))
+        assert rho.dim == 1024
+
+
+@pytest.mark.parametrize("lo", [0.0, -1e-6])
+def test_construction_leaves_the_input_byte_identical(lo):
+    a = _state_with_min_eigenvalue(np.random.default_rng(4), 64, lo)
+    before = a.tobytes()
+    try:
+        DensityMatrix(a, SubsystemSplit((64,)))
+    except ValueError:
+        assert lo < EIG_FLOOR
+    assert a.tobytes() == before
+
+
+def test_read_only_input_is_accepted():
+    a = _state_with_min_eigenvalue(np.random.default_rng(5), 64, 0.0)
+    a.flags.writeable = False
+    assert DensityMatrix(a, SubsystemSplit((64,))).dim == 64
+    g = np.full((3, 3), 0.5, dtype=complex)
+    np.fill_diagonal(g, 1.0)
+    g.flags.writeable = False
+    assert check_gram(g) is g
+    bad = np.diag([1.2, -0.2]).astype(complex)
+    bad.flags.writeable = False
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        DensityMatrix(bad, SubsystemSplit((2,)))
+
+
+def test_rejection_names_the_eigenvalue():
+    with pytest.raises(ValueError, match="negative eigenvalue") as err:
+        DensityMatrix(np.diag([1.2, -0.2]), SubsystemSplit((2,)))
+    assert float(str(err.value).split()[-1]) == pytest.approx(-0.2)
+    g = np.full((3, 3), -0.9, dtype=complex)
+    np.fill_diagonal(g, 1.0)
+    with pytest.raises(ValueError, match="positive semidefinite: negative eigenvalue") as err:
+        check_gram(g)
+    assert float(str(err.value).split()[-1]) == pytest.approx(-0.8)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("entries", [
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[0.5, np.nan], [np.nan, 0.5]],
+    [[0.5, np.inf], [np.inf, 0.5]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+])
+def test_non_finite_entries_are_rejected(entries):
+    split = SubsystemSplit((2,))
+    with pytest.raises(ValueError):
+        DensityMatrix(np.array(entries), split)
+    with pytest.raises(ValueError):
+        Observable(np.array(entries), split)
+    with pytest.raises(ValueError):
+        check_gram(np.array(entries))
+    with pytest.raises(ValueError):
+        StateVector(np.array(entries[0]), split)
 
 
 def test_basis_state_and_tensor():

@@ -46,6 +46,17 @@ def test_density_matrix_invariants_checked():
         GridDensityMatrix(GRID, rho, 1.0, -0.5)  # bad lam
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (3, 90), (127, 127)])
+def test_non_finite_grid_entries_are_rejected(value, where):
+    psi = gaussian_packet(GRID, 0.0, 0.5)
+    rho = np.outer(psi, psi.conj())
+    rho[where] = value
+    with pytest.raises(ValueError):
+        GridDensityMatrix(GRID, rho, 1.0, 0.0)
+
+
 def test_localization_step_is_exact_gaussian_damping():
     s = _gaussian_state(mass=math.inf, lam=2.0)
     dt = 0.125
