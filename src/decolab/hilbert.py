@@ -6,7 +6,8 @@ Everything is dense and immutable-by-convention; target total dimensions
 are <= 2**12.
 
 Validation.  A StateVector must have the split's length and unit norm
-(NORM_TOL).  A DensityMatrix must be square over the split, hermitian
+(`check_unit`, NORM_TOL), as must the amplitude and pointer vectors of the
+scenario models.  A DensityMatrix must be square over the split, hermitian
 (max |rho - rho^dag| <= HERM_TOL), of unit trace (NORM_TOL) and have no
 eigenvalue below EIG_FLOOR; an Observable must be square and hermitian;
 `check_gram` asks a Gram matrix for a unit diagonal, hermiticity and the
@@ -41,6 +42,13 @@ def hermiticity_drift(a: np.ndarray) -> float:
         # np.maximum, not max(): it carries a NaN through
         drift = np.maximum(drift, np.abs(a[i:i + HERM_BLOCK, i:] - a[i:, i:i + HERM_BLOCK].conj().T).max())
     return float(drift)
+
+
+def check_unit(v: np.ndarray, subject: str) -> None:
+    """ValueError naming subject unless the vector v has unit norm within NORM_TOL; a NaN fails."""
+    norm = np.linalg.norm(v)
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise ValueError(f"{subject} not normalized: |v| = {norm}")
 
 
 def check_positive(a: np.ndarray, subject: str) -> None:
@@ -118,9 +126,7 @@ class StateVector:
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if self.amplitudes.ndim != 1 or len(self.amplitudes) != self.split.dim:
             raise ValueError("amplitude length must equal the split dimension")
-        norm = np.linalg.norm(self.amplitudes)
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValueError(f"state not normalized: |psi| = {norm}")
+        check_unit(self.amplitudes, "state")
 
     @property
     def dim(self) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import StateVector, SubsystemSplit, check_gram
+from .hilbert import StateVector, SubsystemSplit, check_gram, check_unit
 
 
 @dataclass
@@ -32,8 +32,7 @@ class PointerCoupling:
         if self.env_pointers.shape[1] != len(self.env_ready):
             raise ValueError("pointer states must live in the env_ready space")
         for v in (self.env_ready, *self.env_pointers):
-            if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-                raise ValueError("environment states must be normalized")
+            check_unit(v, "environment state")
 
     @property
     def system_dim(self) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from ..hilbert import StateVector, SubsystemSplit
+from ..hilbert import StateVector, SubsystemSplit, check_unit
 from ..params import Declared, param
 
 
@@ -42,8 +42,7 @@ class MeasurementChain:
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         n = len(self.amplitudes)
-        if abs(np.sum(np.abs(self.amplitudes) ** 2) - 1.0) > 1e-12:
-            raise ValueError("amplitudes must be normalized")
+        check_unit(self.amplitudes, "amplitudes")
         self.app_dim = self.app_dim or n
         self.env_dim = self.env_dim or n
         self.obs_dim = self.obs_dim or n

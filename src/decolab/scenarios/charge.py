@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..hilbert import DensityMatrix, SubsystemSplit, check_gram
+from ..hilbert import DensityMatrix, SubsystemSplit, check_gram, check_unit
 from ..params import Declared, param
 
 
@@ -33,8 +33,7 @@ class ChargeModel:
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if abs(np.sum(np.abs(self.amplitudes) ** 2) - 1.0) > 1e-12:
-            raise ValueError("charge amplitudes must be normalized")
+        check_unit(self.amplitudes, "charge amplitudes")
         if self.shells < 0:
             raise ValueError("shell count must be >= 0")
         q = len(self.amplitudes)

@@ -82,16 +82,18 @@ def _run_two_slit(cfg: TwoSlitConfig, seed: int) -> ScenarioResult:
 
 def _run_chiral(cfg: ChiralConfig, seed: int) -> ScenarioResult:
     trace, rho = chiral_run(cfg)
+    t, rec = trace.as_arrays()
     summary = {"regime": classify_regime(cfg)}
     if cfg.gamma > 0 and cfg.omega > 0:
         # P_L - 1/2 relaxes as exp(-rate t) under strong monitoring; in the unitary regime it oscillates
-        t, rec = trace.as_arrays()
         try:
             rate = fit_exponent(t, 2.0 * (rec["p_left"] - 0.5), (0.05 * t[-1], math.inf), floor=1e-6)[0]
         except ValueError:
             rate = 0.0  # already relaxed: too few samples above the floor
         summary["relaxation_rate"] = rate if rate > 0 else "not resolved"
-    return ScenarioResult(trace, summary, audit(rho))
+    # the final state is renormalized by the run: the records hold the maps' trace drift
+    checked = audit(rho) | {"trace_drift": float(np.max(np.abs(rec["trace"] - 1.0)))}
+    return ScenarioResult(trace, summary, checked)
 
 
 def _run_charge(cfg: ChargeConfig, seed: int) -> ScenarioResult:

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ConfigError, PreconditionError
 from ..localization import (
-    MIN_POINTS, GridDensityMatrix, GridSpec, ObservableTrace, _kinetic_phase, _march, gaussian_packet, step_count,
+    MIN_POINTS, GridDensityMatrix, GridSpec, ObservableTrace, _decode, _march, gaussian_packet, step_count,
 )
 from ..params import Declared, param
 
@@ -60,30 +60,41 @@ def _initial_state(cfg: TwoSlitConfig) -> tuple[GridDensityMatrix, int, int]:
 def two_slit_run(cfg: TwoSlitConfig) -> tuple[ObservableTrace, GridDensityMatrix]:
     """Evolve the two-packet state, recording V(t) at the packet-center entry; also returns the final grid state.
 
-    Inner records read sigma = fft2(rho) before its closing half-kick, in O(N^2):
-    rho_rl = (a phi)^T sigma (b conj phi) with a_p = e^{ip(x_r-x_0)}/N, b_p likewise
-    for x_l and phi the half-kick phase; the trace is the p+q=0 anti-diagonal sum dx/N.
+    rho_rl comes from M_rl and M_lr.  Inner records read them from the half
+    spectrum (R, T) before its closing half-kick, in O(N^2) with no inverse
+    transform: the kicked M_ab is Re(u_a^T (cos(theta) R + sin(theta) T) v_b) with
+    u_p = e^{ip(x_a - x_0)}, v_q = w_q e^{iq(x_b - x_0)} / N^2, and w_q = 2 for
+    the columns that stand for a conjugate pair (1 at q = 0 and q = N/2).  As
+    theta_pq = alpha_p - alpha_q, the form splits into R and T times four columns
+    (cos alpha, sin alpha) v_b.  The trace is the diagonal sum, which the kick keeps.
     """
     n_steps = step_count(cfg.t_final, cfg.dt)
     s0, i_r, i_l = _initial_state(cfg)
-    v0 = abs(s0.rho[i_r, i_l])
+    v0 = float(abs(_decode(s0.m[i_r, i_l], s0.m[i_l, i_r])))
     if v0 <= 0:
         raise PreconditionError("no initial cross peak; packets unresolved on grid")
     out = ObservableTrace()
-    n, dx = s0.grid.n_points, s0.grid.dx
+    n = s0.grid.n_points
     if math.isfinite(cfg.mass):
-        half = _kinetic_phase(s0.grid, cfg.mass, cfg.dt / 2.0)
         k = np.arange(n)
+        q = k[:n // 2 + 1]
         # e^{i p (x_i - x_0)} = e^{2 pi i k i / N}; the integer product mod N keeps the angle small
-        a = np.exp(2j * np.pi * (k * i_r % n) / n) / n * half
-        b = np.exp(2j * np.pi * (k * i_l % n) / n) / n * half.conj()
-        anti = -k % n
+        u = np.exp(2j * np.pi * (np.outer((i_r, i_l), k) % n) / n)  # rows a = r, l
+        v = u[::-1, :len(q)] * (np.where((q == 0) | (2 * q == n), 1.0, 2.0) / n**2)  # rows b = l, r
+        alpha = -s0.grid.p**2 * (cfg.dt / 2.0) / (2.0 * cfg.mass)  # the half-kick's phase
+        cos, sin = np.cos(alpha), np.sin(alpha)
+        w = np.concatenate((v * cos[:len(q)], v * sin[:len(q)])).T  # columns cos v_l, cos v_r, sin v_l, sin v_r
+        u_cos, u_sin = u * cos, u * sin
 
-    def record(step: int, s: GridDensityMatrix, sigma):
-        if sigma is None:
-            cross, tr = abs(s.rho[i_r, i_l]), s.trace()
+    def record(step: int, s: GridDensityMatrix, spectrum):
+        if spectrum is None:
+            rho_rl = _decode(s.m[i_r, i_l], s.m[i_l, i_r])
         else:
-            cross, tr = abs(a @ sigma @ b), float(sigma[k, anti].sum().real) * dx / n
-        out.append(step * cfg.dt, {"visibility": cross / v0, "cross_peak": cross, "trace": tr})
+            rw, tw = spectrum[0] @ w, spectrum[1] @ w
+            m_rl, m_lr = (np.sum(u_cos * (rw[:, :2] - tw[:, 2:]).T, axis=1)
+                          + np.sum(u_sin * (rw[:, 2:] + tw[:, :2]).T, axis=1)).real
+            rho_rl = _decode(m_rl, m_lr)
+        cross = float(abs(rho_rl))
+        out.append(step * cfg.dt, {"visibility": cross / v0, "cross_peak": cross, "trace": s.trace()})
 
     return out, _march(s0, cfg.dt, n_steps, cfg.record_stride, record)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from decolab.hilbert import (
     EIG_FLOOR, HERM_BLOCK, SubsystemSplit, StateVector, DensityMatrix, Observable,
     basis_state, random_state, random_density, random_observable,
-    tensor_product, density_of, expectation, partial_trace, check_gram, hermiticity_drift,
+    tensor_product, density_of, expectation, partial_trace, check_gram, check_unit, hermiticity_drift,
     schmidt, schmidt_reconstruct, entanglement_entropy, offdiagonal_coherence,
 )
 
@@ -157,6 +157,15 @@ def test_non_finite_entries_are_rejected(entries):
         check_gram(np.array(entries))
     with pytest.raises(ValueError):
         StateVector(np.array(entries[0]), split)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_state_vector_rejects_nan_amplitude():
+    with pytest.raises(ValueError, match="state not normalized"):
+        StateVector(np.array([np.nan, 1.0]), SubsystemSplit((2,)))
+    check_unit(np.array([0.6, 0.8]), "unit")
+    with pytest.raises(ValueError, match="v not normalized"):
+        check_unit(np.array([0.6, 0.8 + 2e-12]), "v")
 
 
 def test_basis_state_and_tensor():

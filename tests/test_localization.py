@@ -7,7 +7,7 @@ import pytest
 from decolab.localization import (
     GridSpec, GridDensityMatrix, GaussianMoments, ObservableTrace,
     gaussian_packet, pure_density, localization_step, kinetic_half_step,
-    moments_of, coherence_length, evolve,
+    moments_of, coherence_length, evolve, OBSERVABLES, _record,
 )
 from oracles import moment_ode_oracle
 
@@ -92,6 +92,40 @@ def test_moments_of_gaussian():
     assert m.var_pp == pytest.approx(1.0 / (4.0 * sigma**2), rel=1e-6)
     assert m.cov_xp == pytest.approx(0.0, abs=1e-9)
     assert m.mean_p == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_moments_of_matches_dense_operator_expectations(n):
+    """<x>, <p>, <x^2>, Re<xp>, <p^2> as traces against dense X and P = F^-1 diag(p) F, on a mixed
+    state with complex entries, so that the antisymmetric part of M counts."""
+    grid = GridSpec(n, -3.0, 3.0)
+    rng = np.random.default_rng(n)
+    v = (rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))) * np.exp(-grid.x**2)[:, None]
+    rho = v @ v.conj().T
+    rho = 0.5 * (rho + rho.conj().T) / (np.trace(rho).real * grid.dx)
+    x = np.diag(grid.x)
+    p = np.fft.ifft(grid.p[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
+    ev = lambda op: np.trace(op @ rho).real * grid.dx  # noqa: E731
+    m = moments_of(GridDensityMatrix(grid, rho, 1.0, 0.0))
+    assert m.mean_x == pytest.approx(ev(x), rel=1e-12)
+    assert m.mean_p == pytest.approx(ev(p), rel=1e-12)
+    assert m.var_xx == pytest.approx(ev(x @ x) - ev(x) ** 2, rel=1e-12)
+    assert m.cov_xp == pytest.approx(ev(x @ p) - ev(x) * ev(p), rel=1e-12)
+    assert m.var_pp == pytest.approx(ev(p @ p) - ev(p) ** 2, rel=1e-12)
+
+
+def test_records_from_the_encoding_match_the_complex_state():
+    grid = GridSpec(64, -3.0, 3.0)
+    rng = np.random.default_rng(3)
+    v = (rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))) * np.exp(-grid.x**2)[:, None]
+    rho = v @ v.conj().T
+    rho = 0.5 * (rho + rho.conj().T) / (np.trace(rho).real * grid.dx)
+    rec = _record(GridDensityMatrix(grid, rho, 1.0, 0.0), OBSERVABLES)
+    off = np.abs(rho)
+    np.fill_diagonal(off, 0.0)
+    assert rec["offdiag_peak"] == pytest.approx(off.max(), rel=1e-13)
+    assert rec["purity"] == pytest.approx(np.sum(np.abs(rho) ** 2) * grid.dx**2, rel=1e-13)
+    assert rec["trace"] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_gaussian_moments_uncertainty_check():

@@ -42,6 +42,12 @@ def test_pointer_coupling_validation():
         PointerCoupling(np.array([1.0, 0.0]), np.eye(3))  # dimension mismatch
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_pointer_coupling_rejects_nan_state():
+    with pytest.raises(ValueError, match="environment state not normalized"):
+        PointerCoupling(np.array([1.0, 0.0]), np.array([[np.nan, 1.0], [0.0, 1.0]]))
+
+
 def test_premeasure_creates_perfect_record():
     """Orthogonal pointers: reduced system state loses all coherence."""
     split = SubsystemSplit((2,), ("system",))

@@ -345,6 +345,13 @@ def test_cli_run_reports_unmeasured_audit_fields_as_null(tmp_path, monkeypatch):
     assert audit["trace_drift"] < 1e-12
 
 
+def test_chiral_audit_reports_the_records_trace_drift(tmp_path):
+    report = execute(parse_config(f"[chiral-sugar]\noutput = {tmp_path / 'sugar.csv'}\n")[0])
+    header, rows = read_trace_csv(report.trace_path)
+    drift = np.max(np.abs(rows[:, header.index("trace")] - 1.0))
+    assert report.audit["trace_drift"] == drift > 0.0
+
+
 def test_cli_run_refuses_a_bad_section_before_running_any(tmp_path, monkeypatch):
     cfg = tmp_path / "two.cfg"
     cfg.write_text("[charge-shells]\nshells = 10\n[two-slit]\nslit_separation = 0.05\n")

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 from decolab.errors import PreconditionError
 from decolab.hilbert import density_of, partial_trace
 from decolab.localization import ObservableTrace, fit_exponent
+from decolab.scenarios.twoslit import _initial_state
 from decolab.scenarios import (
     TwoSlitConfig, two_slit_run,
     ChiralConfig, chiral_run, classify_regime,
@@ -50,6 +51,18 @@ def test_two_slit_frozen_mode_is_exact():
     assert k == pytest.approx(cfg.lam * cfg.slit_separation**2, rel=1e-10)
     assert resid < 1e-12
     assert final.audit()["min_eigenvalue"] > -1e-10
+
+
+@pytest.mark.parametrize("n_points", [64, 65])
+def test_two_slit_inner_records_on_a_rough_grid(n_points):
+    """Packets about one grid spacing wide fill the whole spectrum, the N/2 column included."""
+    from test_grid_loop import _strang_reference
+    cfg = TwoSlitConfig(slit_separation=1.0, packet_width=0.06, mass=0.5, lam=1.0, t_final=0.05, dt=0.01,
+                        n_points=n_points)
+    s0, i_r, i_l = _initial_state(cfg)
+    states = _strang_reference(s0.rho, s0.grid, cfg.mass, cfg.lam, cfg.dt, 5)
+    _, rec = two_slit_run(cfg)[0].as_arrays()
+    np.testing.assert_allclose(rec["cross_peak"], [abs(r[i_r, i_l]) for r in states], rtol=1e-12)
 
 
 def test_two_slit_finite_mass_still_decoheres():
@@ -154,6 +167,12 @@ def test_charge_model_validation():
         ChargeModel(np.array([1.0, 0.0]) , -1, np.eye(2))
     with pytest.raises(ValueError):
         ChargeModel(np.array([0.6, 0.8]), 1, np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_charge_model_rejects_nan_amplitude():
+    with pytest.raises(ValueError, match="charge amplitudes not normalized"):
+        ChargeModel(np.array([np.nan, 1.0]), 1, np.eye(2))
 
 
 def test_charge_orthogonal_shells_superselect():
@@ -292,6 +311,12 @@ def test_chain_validation():
         MeasurementChain(np.array([1.0, 1.0]))  # not normalized
     with pytest.raises(ValueError):
         MeasurementChain(np.array([0.6, 0.8]), app_dim=1)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_chain_rejects_nan_amplitude():
+    with pytest.raises(ValueError, match="amplitudes not normalized"):
+        MeasurementChain(np.array([np.nan, 1.0]))
 
 
 def test_chain_stages_entangle_progressively():
