@@ -253,19 +253,14 @@ def _spectrum(m: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None) -
     return r, t
 
 
-def _inverse(r: np.ndarray) -> np.ndarray:
-    """irfft2 of the half spectrum r, which it overwrites."""
-    np.fft.ifft(r, axis=0, out=r)
-    return np.fft.irfft(r, r.shape[0], axis=1)
-
-
 def _kicked(s: GridDensityMatrix, r: np.ndarray, t: np.ndarray, rotation) -> GridDensityMatrix:
     """s after the kick whose _rotation is given, from (r, t) = _spectrum(s.m), which it overwrites."""
     cos, sin = rotation
     r *= cos
     t *= sin
     r += t
-    return _state(s, _inverse(r))
+    np.fft.ifft(r, axis=0, out=r)  # irfft2, its first pass in place
+    return _state(s, np.fft.irfft(r, s.grid.n_points, axis=1))
 
 
 def kinetic_half_step(s: GridDensityMatrix, dt: float,
@@ -318,11 +313,11 @@ OBSERVABLES = ("trace", "mean_x", "mean_p", "var_xx", "cov_xp", "var_pp",
 
 
 def _wrapped(a: np.ndarray) -> np.ndarray:
-    """Read-only view w[j, k] = a[j, (j + k) % n] of an (n, n) array, or of a length-n vector as a[(j + k) % n]."""
-    n = a.shape[-1]
+    """Read-only view w[j, k] = a[j, (j + k) % n] of an (n, n) array a; of a length-n vector, w[j, k] = a[(j + k) % n]."""
     b = np.concatenate((a, a), axis=-1)
-    step = b.strides[-1]
-    return as_strided(b, (n, n), (b.strides[0] + step if a.ndim == 2 else step, step), writeable=False)
+    col = b.strides[-1]
+    row = col if a.ndim == 1 else b.strides[0] + col
+    return as_strided(b, (a.shape[-1],) * 2, (row, col), writeable=False)
 
 
 def moments_of(s: GridDensityMatrix) -> GaussianMoments:
@@ -330,8 +325,9 @@ def moments_of(s: GridDensityMatrix) -> GaussianMoments:
 
     With c_k = sum_j rho_{j,j+k} (indices mod N), the momentum distribution is
     w_n = sum_k c_k e^{2 pi i nk/N}, and <p^a> = dx/N sum_n p_n^a w_n.  On M,
-    c(rho)'s even part comes from A and its odd part from B, so w = Re fft(c(M)) + Im fft(c(M)).
-    Re<xp> = <xp + px>/2 reads the same way from (x_j + x_k) M_jk, the encoding of x rho + rho x.
+    c(M) = c(A) + c(B) has even part c(A) and odd part c(B), while c(rho) = c(A) + i c(B);
+    so w = Re fft(c(M)) + Im fft(c(M)).  Re<xp> = <xp + px>/2 reads the same way
+    from (x_j + x_k) M_jk, the encoding of x rho + rho x.
     """
     grid, m, dx = s.grid, s.m, s.grid.dx
     n, x, p = grid.n_points, grid.x, grid.p
