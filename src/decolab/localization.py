@@ -119,7 +119,8 @@ class GridDensityMatrix:
         return float(np.trace(self.m)) * self.grid.dx
 
     def audit(self) -> dict[str, float]:
-        return audit(self.rho, self.grid.dx)
+        # on a complex rho of its own, not cached in .rho: an audited run's final state keeps only M
+        return audit(_decode(self.m, self.m.T), self.grid.dx)
 
 
 def _decode(m_ij, m_ji) -> np.ndarray:
