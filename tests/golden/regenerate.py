@@ -21,8 +21,8 @@ CONFIGS = {
     # finite mass on an odd grid, records between kicks (stride 3) and at a partial last stride
     "two-slit-finite-mass": "[two-slit]\nmass = 5\npacket_width = 0.1\nn_points = 129\n"
                             "t_final = 0.2\ndt = 0.01\nrecord_stride = 3\n",
-    "chiral-sugar": "[chiral-sugar]\n",
-    "chiral-ph3-like": "[chiral-ph3-like]\n",
+    "chiral-sugar": "[chiral-sugar]\nrecord_stride = 1000\n",
+    "chiral-ph3-like": "[chiral-ph3-like]\nrecord_stride = 200\n",
     "charge-shells": "[charge-shells]\n",
     "decay-cavity": "[decay-cavity]\n",
     "decay-monitored": "[decay-monitored]\nn_modes = 41\nt_final = 4\n",
