@@ -65,8 +65,9 @@ def two_slit_run(cfg: TwoSlitConfig) -> tuple[ObservableTrace, GridDensityMatrix
     transform: the kicked M_ab is Re(u_a^T (cos(theta) R + sin(theta) T) v_b) with
     u_p = e^{ip(x_a - x_0)}, v_q = w_q e^{iq(x_b - x_0)} / N^2, and w_q = 2 for
     the columns that stand for a conjugate pair (1 at q = 0 and q = N/2).  As
-    theta_pq = alpha_p - alpha_q, the form splits into R and T times four columns
-    (cos alpha, sin alpha) v_b.  The trace is the diagonal sum, which the kick keeps.
+    theta_pq = alpha_p - alpha_q, with c = cos(alpha) v_b and s = sin(alpha) v_b,
+    M_ab = Re((cos(alpha) u_a)^T (R c - T s) + (sin(alpha) u_a)^T (R s + T c)): R and T
+    each meet four columns once.  The trace is the diagonal sum, which the kick keeps.
     """
     n_steps = step_count(cfg.t_final, cfg.dt)
     s0, i_r, i_l = _initial_state(cfg)
