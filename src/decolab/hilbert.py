@@ -87,14 +87,11 @@ class SubsystemSplit:
     """
 
     dims: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if not self.dims or any(d < 1 for d in self.dims):
             raise ValueError("every subsystem dimension must be >= 1")
-        if self.labels is not None and len(self.labels) != len(self.dims):
-            raise ValueError("labels must match the number of factors")
 
     @property
     def dim(self) -> int:
@@ -105,16 +102,10 @@ class SubsystemSplit:
         return len(self.dims)
 
     def concat(self, other: "SubsystemSplit") -> "SubsystemSplit":
-        labels = None
-        if self.labels is not None and other.labels is not None:
-            labels = self.labels + other.labels
-        return SubsystemSplit(self.dims + other.dims, labels)
+        return SubsystemSplit(self.dims + other.dims)
 
     def select(self, keep: tuple[int, ...]) -> "SubsystemSplit":
-        labels = None
-        if self.labels is not None:
-            labels = tuple(self.labels[i] for i in keep)
-        return SubsystemSplit(tuple(self.dims[i] for i in keep), labels)
+        return SubsystemSplit(tuple(self.dims[i] for i in keep))
 
 
 @dataclass
@@ -332,8 +323,8 @@ def audit(rho: np.ndarray, weight: float = 1.0) -> dict[str, float]:
     }
 
 
-def offdiagonal_coherence(rho: DensityMatrix) -> float:
-    """Sum of |rho_mn| over m != n in the stored (computational) basis."""
-    a = np.abs(rho.entries)
+def offdiagonal_coherence(rho: DensityMatrix | np.ndarray) -> float:
+    """Sum of |rho_mn| over m != n in the stored (computational) basis, of a DensityMatrix or its bare entries."""
+    a = np.abs(rho.entries if isinstance(rho, DensityMatrix) else rho)
     np.fill_diagonal(a, 0.0)  # not a.sum() - trace(a), which cancels off-diagonals below its rounding
     return float(a.sum())

@@ -1,9 +1,11 @@
 """Batch execution: config parsing, dispatch, CSV emission, summaries.
 
 Config files are line-oriented `key = value` pairs under one `[scenario]`
-section per run.  Output CSVs carry a header row `time,<observable...>`
-(the time column may be renamed per scenario, e.g. `shell` or `runs`) and
-are byte-identical for identical (config, seed) pairs.
+section per run.  A run returns its trace once, as an ObservableTrace of
+float64 columns; `write_trace_csv` writes it in one pass, a header row
+`time,<observable...>` (the time column may be renamed per scenario, e.g.
+`shell` or `runs`, and the observables are sorted by name) and then every
+value as %.17g.  CSVs are byte-identical for identical (config, seed) pairs.
 """
 from __future__ import annotations
 
@@ -172,13 +174,14 @@ def _default_output(cfg: RunConfig, index: int) -> str:
 
 
 def write_trace_csv(path: str, time_column: str, trace) -> None:
+    """The trace as a header and one row per time, columns sorted by name, every value as %.17g, in one pass."""
     times, records = trace.as_arrays()
     columns = sorted(records)
+    table = np.column_stack([times] + [records[c] for c in columns])
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join([time_column] + columns) + "\n")
-        for i, t in enumerate(times):
-            row = [f"{t:.17g}"] + [f"{records[c][i]:.17g}" for c in columns]
-            fh.write(",".join(row) + "\n")
+        fh.write((line * len(table)) % tuple(table.ravel().tolist()))
 
 
 def execute(cfg: RunConfig, index: int = 0, seed_override: int | None = None) -> RunReport:

@@ -34,21 +34,11 @@ class ChainConfig(Declared):
 @dataclass
 class MeasurementChain:
     amplitudes: np.ndarray
-    app_dim: int | None = None
-    env_dim: int | None = None
-    obs_dim: int | None = None
     seed: int = 0
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        n = len(self.amplitudes)
         check_unit(self.amplitudes, "amplitudes")
-        self.app_dim = self.app_dim or n
-        self.env_dim = self.env_dim or n
-        self.obs_dim = self.obs_dim or n
-        for d, label in ((self.app_dim, "apparatus"), (self.env_dim, "environment"), (self.obs_dim, "observer")):
-            if d < n:
-                raise ValueError(f"{label} pointer family needs at least {n} states")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -88,13 +78,11 @@ def build_chain_state(chain: MeasurementChain, stage: str) -> StateVector:
     if stage not in ("meas", "decoh"):
         raise ValueError(f"unknown stage {stage!r} (expected 'meas' or 'decoh')")
     n = chain.n_outcomes
-    dims = (n, chain.app_dim, chain.env_dim, chain.obs_dim)
-    amps = np.zeros(dims, dtype=complex)
+    amps = np.zeros((n,) * 4, dtype=complex)  # system, apparatus, environment, observer
     for k, c in enumerate(chain.amplitudes):
         env_idx = k if stage == "decoh" else 0
         amps[k, k, env_idx, 0] = c
-    split = SubsystemSplit(dims, ("system", "apparatus", "environment", "observer"))
-    return StateVector(amps.reshape(-1), split)
+    return StateVector(amps.reshape(-1), SubsystemSplit((n,) * 4))
 
 
 def run_chain(chain: MeasurementChain, runs: int, seed: int | None = None) -> FrequencyRecord:

@@ -46,8 +46,8 @@ class ChargeModel:
         return len(self.amplitudes)
 
 
-def charge_reduced_density(model: ChargeModel, shells: int | None = None) -> DensityMatrix:
-    """Reduced state of the local charge after tracing R field shells (R = model.shells by default).
+def charge_reduced_density(model: ChargeModel) -> DensityMatrix:
+    """Reduced state of the local charge after tracing its R = model.shells field shells.
 
     rho_qq' = c_q conj(c_q') (overlap_q'q)^R; with R = 0 this is the pure
     superposition, with orthogonal shells it is exactly diag(|c_q|^2).
@@ -55,6 +55,5 @@ def charge_reduced_density(model: ChargeModel, shells: int | None = None) -> Den
     c = model.amplitudes
     rho = np.outer(c, c.conj())
     # factor <Phi_q'|Phi_q> per shell: the transposed Gram entry
-    rho *= model.per_shell_overlap.T ** (model.shells if shells is None else shells)
-    split = SubsystemSplit((model.n_charges,), ("charge",))
-    return DensityMatrix(rho, split)
+    rho *= model.per_shell_overlap.T ** model.shells
+    return DensityMatrix(rho, SubsystemSplit((model.n_charges,)))

@@ -62,19 +62,18 @@ def chiral_run(cfg: ChiralConfig) -> tuple[ObservableTrace, np.ndarray]:
     stride = cfg.record_stride
     stride_map = np.linalg.matrix_power(step, stride)
     tail_map = np.linalg.matrix_power(step, n_steps % stride)  # a last, partial stride
+    steps = record_steps(n_steps, stride)
+    p_left, coherence, trace = np.empty((3, len(steps)))
+    p_left[0], coherence[0], trace[0] = 1.0, 0.0, 1.0
     rho = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    out = ObservableTrace()
-    out.append(0.0, {"p_left": 1.0, "coherence": 0.0, "trace": 1.0})
-    for n in record_steps(n_steps, stride)[1:]:
+    for i, n in enumerate(steps[1:], start=1):
         rho = (stride_map if n % stride == 0 else tail_map) @ rho
-        tr = (rho[0] + rho[3]).real  # recorded before renormalizing, so the column shows the map's drift
-        rho /= tr  # counter rounding drift of the trig unitary
-        out.append(n * cfg.dt, {
-            "p_left": float(rho[0].real),
-            "coherence": float(2.0 * abs(rho[1])),
-            "trace": float(tr),
-        })
-    return out, rho.reshape(2, 2)
+        trace[i] = (rho[0] + rho[3]).real  # recorded before renormalizing, so the column shows the map's drift
+        rho /= trace[i]  # counter rounding drift of the trig unitary
+        p_left[i] = rho[0].real
+        coherence[i] = 2.0 * abs(rho[1])
+    columns = {"p_left": p_left, "coherence": coherence, "trace": trace}
+    return ObservableTrace(np.array(steps) * cfg.dt, columns), rho.reshape(2, 2)
 
 
 def classify_regime(cfg: ChiralConfig) -> str:

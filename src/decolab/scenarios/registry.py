@@ -102,11 +102,13 @@ def _run_charge(cfg: ChargeConfig, seed: int) -> ScenarioResult:
     gram = np.full((q, q), cfg.overlap, dtype=complex)
     np.fill_diagonal(gram, 1.0)
     model = ChargeModel(amps, cfg.shells, gram)  # validates the Gram matrix once per run
-    trace = ObservableTrace()
-    for r in record_steps(cfg.shells, cfg.record_stride):
-        reduced = charge_reduced_density(model, r)
-        trace.append(float(r), {"offdiagonal_sum": offdiagonal_coherence(reduced)})
-    rho = reduced.entries  # the last record is at r = shells
+    coherent, gram_t = np.outer(model.amplitudes, model.amplitudes.conj()), model.per_shell_overlap.T
+    shells = record_steps(cfg.shells, cfg.record_stride)
+    # each record's rho = c c^dag * (G^T)^r as charge_reduced_density builds it, left unvalidated
+    sums = [offdiagonal_coherence(coherent * gram_t ** r) for r in shells]
+    trace = ObservableTrace(shells, {"offdiagonal_sum": sums})
+    reduced = charge_reduced_density(model)  # validated once, at r = shells
+    rho = reduced.entries
     summary = {
         "final_offdiagonal_sum": offdiagonal_coherence(reduced),
         "diagonal_matches_born": float(np.max(np.abs(np.diag(rho).real - np.abs(amps) ** 2))),
@@ -118,14 +120,14 @@ def _run_decay(cfg: DecayConfig, seed: int) -> ScenarioResult:
     trace, rho = decay_run(cfg)
     t, rec = trace.as_arrays()
     p = rec["survival"]
-    try:  # fit over [0, 3/rate], rate from a first pass over the first quarter of the run
-        first = fit_exponent(t, p, (0.0, max(t[len(t) // 4], t[1])))[0]
+    t_rev = revival_time(cfg)
+    try:  # fit over [0, 3/rate], rate from a first pass over the run's first quarter, ended before any revival
+        first = fit_exponent(t, p, (0.0, max(min(t[len(t) // 4], 0.6 * t_rev), t[1])))[0]
         if first <= 0:
             raise ValueError(f"first-pass rate {first:.6g} is not positive: no decay to fit")
         rate, _, resid = fit_exponent(t, p, (0.0, 3.0 / first))
     except ValueError:
         rate = resid = "not resolved"
-    t_rev = revival_time(cfg)
     try:
         peak_t, peak_p = survival_peak(trace, 0.6 * t_rev)
     except ValueError:
@@ -153,13 +155,11 @@ def _run_chain(cfg: ChainConfig, seed: int) -> ScenarioResult:
     chain = MeasurementChain(amps, seed=seed)
     record = run_chain(chain, runs)
     probs = chain.probabilities
-    # cumulative empirical frequencies of the sampled runs' prefixes
-    trace = ObservableTrace()
-    counts, done = np.zeros(n, dtype=np.int64), 0
-    for m in record_steps(runs, cfg.record_stride)[1:]:
-        counts += np.bincount(record.outcomes[done:m], minlength=n)  # each run counted once
-        done = m
-        trace.append(float(m), {f"f_{k}": counts[k] / m for k in range(n)})
+    # cumulative empirical frequencies of the sampled runs' prefixes: outcome k's count
+    # among the first m runs is the number of its run indices below m
+    m = np.array(record_steps(runs, cfg.record_stride)[1:])
+    trace = ObservableTrace(m, {f"f_{k}": np.searchsorted(np.flatnonzero(record.outcomes == k), m) / m
+                                for k in range(n)})
     freqs = record.frequencies
     sigma = np.sqrt(probs * (1 - probs) / runs)
     summary = {

@@ -15,7 +15,8 @@ import numpy as np
 
 from ..errors import ConfigError, PreconditionError
 from ..localization import (
-    MIN_POINTS, GridDensityMatrix, GridSpec, ObservableTrace, _decode, _march, gaussian_packet, step_count,
+    MIN_POINTS, GridDensityMatrix, GridSpec, ObservableTrace, _decode, _march, gaussian_packet, record_steps,
+    step_count,
 )
 from ..params import Declared, param
 
@@ -74,7 +75,7 @@ def two_slit_run(cfg: TwoSlitConfig) -> tuple[ObservableTrace, GridDensityMatrix
     v0 = float(abs(_decode(s0.m[i_r, i_l], s0.m[i_l, i_r])))
     if v0 <= 0:
         raise PreconditionError("no initial cross peak; packets unresolved on grid")
-    out = ObservableTrace()
+    peaks, traces = [], []
     n = s0.grid.n_points
     if math.isfinite(cfg.mass):
         k = np.arange(n)
@@ -95,7 +96,10 @@ def two_slit_run(cfg: TwoSlitConfig) -> tuple[ObservableTrace, GridDensityMatrix
             m_rl, m_lr = (np.sum(u_cos * (rw[:, :2] - tw[:, 2:]).T, axis=1)
                           + np.sum(u_sin * (rw[:, 2:] + tw[:, :2]).T, axis=1)).real
             rho_rl = _decode(m_rl, m_lr)
-        cross = float(abs(rho_rl))
-        out.append(step * cfg.dt, {"visibility": cross / v0, "cross_peak": cross, "trace": s.trace()})
+        peaks.append(abs(rho_rl))
+        traces.append(s.trace())
 
-    return out, _march(s0, cfg.dt, n_steps, cfg.record_stride, record)
+    final = _march(s0, cfg.dt, n_steps, cfg.record_stride, record)
+    peaks = np.array(peaks)
+    times = np.array(record_steps(n_steps, cfg.record_stride)) * cfg.dt
+    return ObservableTrace(times, {"visibility": peaks / v0, "cross_peak": peaks, "trace": traces}), final

@@ -14,16 +14,14 @@ DIM_POOLS = [(2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 4)]
 
 
 def test_split_validation():
-    s = SubsystemSplit((2, 3), ("a", "b"))
+    s = SubsystemSplit((2, 3))
     assert s.dim == 6 and s.n_factors == 2
-    assert s.concat(SubsystemSplit((4,), ("c",))).labels == ("a", "b", "c")
+    assert s.concat(SubsystemSplit((4,))).dims == (2, 3, 4)
     assert s.select((1,)).dims == (3,)
     with pytest.raises(ValueError):
         SubsystemSplit(())
     with pytest.raises(ValueError):
         SubsystemSplit((2, 0))
-    with pytest.raises(ValueError):
-        SubsystemSplit((2, 2), ("only-one",))
 
 
 def test_state_vector_normalization():

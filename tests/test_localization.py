@@ -9,6 +9,7 @@ from decolab.localization import (
     gaussian_packet, pure_density, localization_step, kinetic_half_step,
     moments_of, coherence_length, evolve, OBSERVABLES, _record,
 )
+from decolab.errors import InvariantError
 from oracles import moment_ode_oracle
 
 GRID = GridSpec(128, -8.0, 8.0)
@@ -44,6 +45,15 @@ def test_density_matrix_invariants_checked():
         GridDensityMatrix(GRID, rho, -1.0, 0.0)  # bad mass
     with pytest.raises(ValueError):
         GridDensityMatrix(GRID, rho, 1.0, -0.5)  # bad lam
+
+
+def test_trace_guard_tells_a_callers_state_from_a_solver_drift():
+    """A caller's rho off unit trace is a ValueError; a state the solver made off it is an InvariantError (exit 4)."""
+    s = _gaussian_state()
+    with pytest.raises(ValueError, match="trace"):
+        GridDensityMatrix(GRID, 1.001 * s.rho, 1.0, 0.0)
+    with pytest.raises(InvariantError, match="trace"):
+        localization_step(s, 0.01, kernel=np.full((128, 128), 1.001))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -150,10 +160,9 @@ def test_coherence_length_shrinks_under_localization():
 
 
 def test_observable_trace_requires_increasing_times():
-    tr = ObservableTrace()
-    tr.append(0.0, {"a": 1.0})
+    ObservableTrace([0.0], {"a": [1.0]})
     with pytest.raises(ValueError):
-        tr.append(0.0, {"a": 2.0})
+        ObservableTrace([0.0, 0.0], {"a": [1.0, 2.0]})
 
 
 def test_evolve_records_and_conserves_trace():

@@ -50,7 +50,7 @@ def test_pointer_coupling_rejects_nan_state():
 
 def test_premeasure_creates_perfect_record():
     """Orthogonal pointers: reduced system state loses all coherence."""
-    split = SubsystemSplit((2,), ("system",))
+    split = SubsystemSplit((2,))
     psi = StateVector(np.array([0.6, 0.8]), split)
     coupling = PointerCoupling(np.array([1.0, 0.0]), np.eye(2))
     joint = ideal_premeasure(psi, coupling)

@@ -293,9 +293,7 @@ def test_decay_paths_record_at_the_same_steps():
 
 
 def test_fits_without_a_window_raise_value_error():
-    rising = ObservableTrace()
-    for t, p in ((0.0, 0.5), (1.0, 0.6), (2.0, 0.7), (3.0, 0.8)):
-        rising.append(t, {"survival": p})
+    rising = ObservableTrace([0.0, 1.0, 2.0, 3.0], {"survival": [0.5, 0.6, 0.7, 0.8]})
     t, rec = rising.as_arrays()
     assert fit_exponent(t, rec["survival"])[0] < 0  # a growing trace fits no decay rate
     with pytest.raises(ValueError, match="fewer than 2"):
@@ -309,8 +307,6 @@ def test_fits_without_a_window_raise_value_error():
 def test_chain_validation():
     with pytest.raises(ValueError):
         MeasurementChain(np.array([1.0, 1.0]))  # not normalized
-    with pytest.raises(ValueError):
-        MeasurementChain(np.array([0.6, 0.8]), app_dim=1)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
