@@ -124,19 +124,24 @@ class StateVector:
         return self.split.dim
 
 
+def _hermitian_over(entries, split: SubsystemSplit) -> np.ndarray:
+    """entries as a complex array; ValueError unless it is square over the split and hermitian within HERM_TOL."""
+    a = np.asarray(entries, dtype=complex)
+    if a.shape != (split.dim, split.dim):
+        raise ValueError("entries must be a square matrix matching the split")
+    herm = hermiticity_drift(a)
+    if not herm <= HERM_TOL:
+        raise ValueError(f"not hermitian: max deviation {herm}")
+    return a
+
+
 @dataclass
 class DensityMatrix:
     entries: np.ndarray
     split: SubsystemSplit
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        d = self.split.dim
-        if self.entries.shape != (d, d):
-            raise ValueError("entries must be a square matrix matching the split")
-        herm = hermiticity_drift(self.entries)
-        if not herm <= HERM_TOL:
-            raise ValueError(f"not hermitian: max deviation {herm}")
+        self.entries = _hermitian_over(self.entries, self.split)
         tr = np.trace(self.entries)
         if not abs(tr - 1.0) <= NORM_TOL:
             raise ValueError(f"trace {tr} != 1")
@@ -156,13 +161,7 @@ class Observable:
     split: SubsystemSplit
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        d = self.split.dim
-        if self.entries.shape != (d, d):
-            raise ValueError("entries must be a square matrix matching the split")
-        herm = hermiticity_drift(self.entries)
-        if not herm <= HERM_TOL:
-            raise ValueError(f"not hermitian: max deviation {herm}")
+        self.entries = _hermitian_over(self.entries, self.split)
 
 
 @dataclass
@@ -181,38 +180,6 @@ class SchmidtDecomposition:
     degenerate: bool = field(default=False)
 
 
-def basis_state(index: int, split: SubsystemSplit) -> StateVector:
-    amps = np.zeros(split.dim, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(amps, split)
-
-
-def random_state(rng: np.random.Generator, split: SubsystemSplit) -> StateVector:
-    amps = rng.normal(size=split.dim) + 1j * rng.normal(size=split.dim)
-    amps /= np.linalg.norm(amps)
-    return StateVector(amps, split)
-
-
-def random_density(rng: np.random.Generator, split: SubsystemSplit, rank: int | None = None) -> DensityMatrix:
-    d = split.dim
-    rank = rank or d
-    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    m = 0.5 * (m + m.conj().T)
-    return DensityMatrix(m, split)
-
-
-def random_observable(rng: np.random.Generator, split: SubsystemSplit) -> Observable:
-    d = split.dim
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return Observable(0.5 * (g + g.conj().T), split)
-
-
-def tensor_product(a: StateVector, b: StateVector) -> StateVector:
-    return StateVector(np.kron(a.amplitudes, b.amplitudes), a.split.concat(b.split))
-
-
 def density_of(psi: StateVector) -> DensityMatrix:
     return DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.split)
 
@@ -226,12 +193,19 @@ def expectation(a: Observable, rho: DensityMatrix) -> float:
     return float(raw.real)
 
 
+def _factor_indices(split: SubsystemSplit, indices) -> tuple[int, ...]:
+    """The distinct factor indices, sorted; ValueError if there are none or one is outside the split."""
+    out = tuple(sorted(set(int(i) for i in indices)))
+    n = split.n_factors
+    if not out or any(i < 0 or i >= n for i in out):
+        raise ValueError(f"invalid factor indices {out} for {n} factors")
+    return out
+
+
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every factor not listed in `keep` (kept factors stay in order)."""
-    keep = tuple(sorted(set(int(k) for k in keep)))
+    keep = _factor_indices(rho.split, keep)
     n = rho.split.n_factors
-    if not keep or any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"invalid factor indices {keep} for {n} factors")
     dims = rho.split.dims
     t = rho.entries.reshape(dims + dims)
     # contract row/column axes of each traced-out factor
@@ -244,11 +218,8 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 
 def _bipartition(split: SubsystemSplit, cut) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    local = tuple(sorted(set(int(c) for c in cut)))
-    n = split.n_factors
-    if not local or any(k < 0 or k >= n for k in local):
-        raise ValueError(f"invalid cut {cut}")
-    env = tuple(i for i in range(n) if i not in local)
+    local = _factor_indices(split, cut)
+    env = tuple(i for i in range(split.n_factors) if i not in local)
     if not env:
         raise ValueError("cut must leave a nonempty environment block")
     return local, env
@@ -281,14 +252,6 @@ def schmidt(psi: StateVector, cut) -> SchmidtDecomposition:
     p = s**2
     degenerate = bool(np.any(np.abs(np.diff(p)) < DEGENERACY_TOL)) if len(p) > 1 else False
     return SchmidtDecomposition(p, u, vh.T, degenerate)
-
-
-def schmidt_reconstruct(dec: SchmidtDecomposition) -> np.ndarray:
-    """Rebuild the bipartite amplitude vector sum_n sqrt(p_n) phi_n (x) Phi_n."""
-    amps = 0
-    for k, p in enumerate(dec.probabilities):
-        amps = amps + np.sqrt(p) * np.kron(dec.local_vectors[:, k], dec.env_vectors[:, k])
-    return amps
 
 
 def entanglement_entropy(rho: DensityMatrix) -> float:

@@ -1,9 +1,13 @@
 """Ideal premeasurement, environmental records and erasure.
 
-The system basis states get correlated with environment states through a
-controlled rotation on the joint space.  Because the coupling is a genuine
-unitary, every record can be coherently undone (`erase`); what cannot be
-undone from the reduced state alone is quantified by `decoherence_factor`.
+The system basis states get correlated with environment states through the
+controlled rotation sum_n |n><n| (x) U_n, where U_n = rotation_between(ready,
+pointer_n) takes the ready state to pointer n.  Acting on a ready
+environment, that unitary yields sum_n c_n phi_n Phi_n, so
+`ideal_premeasure` writes the record directly as that product.  Because the
+coupling is a genuine unitary, every record can be coherently undone:
+`erase` applies the inverse rotations U_n^dag.  What cannot be undone from
+the reduced state alone is quantified by `decoherence_factor`.
 """
 from __future__ import annotations
 
@@ -82,34 +86,20 @@ def rotation_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return u
 
 
-def coupling_unitaries(coupling: PointerCoupling) -> list[np.ndarray]:
-    return [rotation_between(coupling.env_ready, p) for p in coupling.env_pointers]
-
-
-def _apply_controlled(state: StateVector, env_axis: int, unitaries, adjoint: bool = False) -> StateVector:
-    """Apply sum_n |n><n| (x) U_n with the control on factor 0, target on env_axis."""
-    dims = state.split.dims
-    t = state.amplitudes.reshape(dims)
-    t = np.moveaxis(t, env_axis, -1).copy()
-    for n, u in enumerate(unitaries):
-        op = u.conj().T if adjoint else u
-        t[n] = t[n] @ op.T
-    t = np.moveaxis(t, -1, env_axis)
-    return StateVector(t.reshape(-1), state.split)
-
-
 def ideal_premeasure(state: StateVector, coupling: PointerCoupling) -> StateVector:
-    """Append an environment factor in env_ready and rotate it per system index.
+    """Append an environment factor that holds pointer n wherever the system is in state n.
 
     The system is factor 0 of `state`; the new environment factor is
     appended last.  For a bare system state this realizes
-    sum_n c_n phi_n -> sum_n c_n phi_n Phi_n.
+    sum_n c_n phi_n -> sum_n c_n phi_n Phi_n.  The result is the controlled
+    rotation of a ready environment, built as the product of each system
+    slice with its pointer since U_n|ready> = |pointer_n>.
     """
     if state.split.dims[0] != coupling.system_dim:
         raise ValueError("system dimension does not match the coupling")
-    joint_split = state.split.concat(SubsystemSplit((coupling.env_dim,)))
-    joint = StateVector(np.kron(state.amplitudes, coupling.env_ready), joint_split)
-    return _apply_controlled(joint, joint_split.n_factors - 1, coupling_unitaries(coupling))
+    t = state.amplitudes.reshape(coupling.system_dim, -1)
+    joint = t[:, :, None] * coupling.env_pointers[:, None, :]
+    return StateVector(joint.reshape(-1), state.split.concat(SubsystemSplit((coupling.env_dim,))))
 
 
 def decoherence_factor(chain: ScattererChain, m: int, n: int, k: int) -> complex:
@@ -143,18 +133,12 @@ def erase(joint: StateVector, couplings: list[PointerCoupling], subset) -> State
     subset = sorted(set(int(j) for j in subset))
     if any(j < 0 or j >= n_env for j in subset):
         raise ValueError(f"subset {subset} references scatterers outside the chain")
-    state = joint
+    t = joint.amplitudes.reshape(joint.split.dims)
     for j in reversed(subset):
-        state = _apply_controlled(state, 1 + j, coupling_unitaries(couplings[j]), adjoint=True)
-    return state
-
-
-def pointers_from_gram(gram: np.ndarray) -> np.ndarray:
-    """Concrete unit vectors realizing a given Gram matrix (rows are states)."""
-    g = np.asarray(gram, dtype=complex)
-    evals, vecs = np.linalg.eigh(g)
-    evals = np.clip(evals, 0.0, None)
-    s = (vecs * np.sqrt(evals)) @ vecs.conj().T  # hermitian square root, G = S^dag S
-    states = s.T  # column n of S is eps_n; return as rows
-    # renormalize against rounding
-    return states / np.linalg.norm(states, axis=1, keepdims=True)
+        c = couplings[j]
+        t = np.moveaxis(t, 1 + j, -1).copy()
+        for n, pointer in enumerate(c.env_pointers):
+            # the rows of t[n] are environment vectors v, and v^T conj(U_n) = (U_n^dag v)^T
+            t[n] = t[n] @ rotation_between(c.env_ready, pointer).conj()
+        t = np.moveaxis(t, -1, 1 + j)
+    return StateVector(t.reshape(-1), joint.split)

@@ -4,7 +4,7 @@ from .twoslit import TwoSlitConfig, two_slit_run
 from .chiral import ChiralConfig, chiral_run, classify_regime
 from .charge import ChargeModel, charge_reduced_density
 from .decay import DecayConfig, decay_run, revival_time, golden_rule_rate, survival_peak
-from .chain import MeasurementChain, FrequencyRecord, build_chain_state, run_chain
+from .chain import MeasurementChain, FrequencyRecord, run_chain
 from .registry import SCENARIOS, scenario_names
 
 __all__ = [
@@ -12,6 +12,6 @@ __all__ = [
     "ChiralConfig", "chiral_run", "classify_regime",
     "ChargeModel", "charge_reduced_density",
     "DecayConfig", "decay_run", "revival_time", "golden_rule_rate", "survival_peak",
-    "MeasurementChain", "FrequencyRecord", "build_chain_state", "run_chain",
+    "MeasurementChain", "FrequencyRecord", "run_chain",
     "SCENARIOS", "scenario_names",
 ]

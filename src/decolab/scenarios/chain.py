@@ -1,9 +1,11 @@
 """Measurement chain: system -> apparatus -> environment -> observer.
 
-The unitary stages entangle the system basis with orthonormal pointer
-states of the apparatus and then the environment; only the final
-observation step samples an outcome, with probability |c_n|^2, using a
-counter-based generator so runs are reproducible and order-independent.
+The unitary stages, which entangle the system basis with orthonormal
+pointer states of the apparatus and then the environment, are
+`premeasure.ideal_premeasure` runs with basis-state pointers.  This module
+models the final observation step: it samples an outcome with probability
+|c_n|^2, using a counter-based generator so runs are reproducible and
+order-independent.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from ..hilbert import StateVector, SubsystemSplit, check_unit
+from ..hilbert import check_unit
 from ..params import Declared, param
 
 
@@ -55,7 +57,7 @@ class MeasurementChain:
 class FrequencyRecord:
     counts: np.ndarray
     seed: int
-    outcomes: np.ndarray | None = None  # the sampled outcome of each run, in run order
+    outcomes: np.ndarray  # the sampled outcome of each run, in run order
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
@@ -69,35 +71,19 @@ class FrequencyRecord:
         return self.counts / self.counts.sum()
 
 
-def build_chain_state(chain: MeasurementChain, stage: str) -> StateVector:
-    """Joint state after the named stage of the chain.
-
-    stage 'meas':  (sum_n c_n |n> |n>_app) |0>_env |0>_obs
-    stage 'decoh': (sum_n c_n |n> |n>_app |n>_env) |0>_obs
-    """
-    if stage not in ("meas", "decoh"):
-        raise ValueError(f"unknown stage {stage!r} (expected 'meas' or 'decoh')")
-    n = chain.n_outcomes
-    amps = np.zeros((n,) * 4, dtype=complex)  # system, apparatus, environment, observer
-    for k, c in enumerate(chain.amplitudes):
-        env_idx = k if stage == "decoh" else 0
-        amps[k, k, env_idx, 0] = c
-    return StateVector(amps.reshape(-1), SubsystemSplit((n,) * 4))
-
-
-def run_chain(chain: MeasurementChain, runs: int, seed: int | None = None) -> FrequencyRecord:
+def run_chain(chain: MeasurementChain, runs: int) -> FrequencyRecord:
     """Sample the observed outcome n0 for `runs` repetitions.
 
-    Run i consumes block i of a Philox counter stream keyed on the seed, so
-    the record is independent of execution order and bitwise reproducible.
+    Run i consumes block i of a Philox counter stream keyed on the chain's
+    seed, so the record is independent of execution order and bitwise
+    reproducible.
     """
     if runs < 1:
         raise ValueError("need at least one run")
-    seed = chain.seed if seed is None else seed
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=chain.seed))
     u = rng.random(runs)
     edges = np.cumsum(chain.probabilities)
     edges[-1] = 1.0  # guard against rounding
     outcomes = np.searchsorted(edges, u, side="right")
     counts = np.bincount(outcomes, minlength=chain.n_outcomes)
-    return FrequencyRecord(counts, seed, outcomes)
+    return FrequencyRecord(counts, chain.seed, outcomes)

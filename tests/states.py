@@ -1,0 +1,56 @@
+"""States and operators that the tests build, kept outside `src/` because
+no decolab run needs them."""
+import numpy as np
+
+from decolab.hilbert import DensityMatrix, Observable, SchmidtDecomposition, StateVector, SubsystemSplit
+
+
+def basis_state(index: int, split: SubsystemSplit) -> StateVector:
+    amps = np.zeros(split.dim, dtype=complex)
+    amps[index] = 1.0
+    return StateVector(amps, split)
+
+
+def random_state(rng: np.random.Generator, split: SubsystemSplit) -> StateVector:
+    amps = rng.normal(size=split.dim) + 1j * rng.normal(size=split.dim)
+    amps /= np.linalg.norm(amps)
+    return StateVector(amps, split)
+
+
+def random_density(rng: np.random.Generator, split: SubsystemSplit) -> DensityMatrix:
+    """A full-rank density matrix G G^dag / tr(G G^dag) with complex Gaussian G."""
+    d = split.dim
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    m = 0.5 * (m + m.conj().T)
+    return DensityMatrix(m, split)
+
+
+def random_observable(rng: np.random.Generator, split: SubsystemSplit) -> Observable:
+    d = split.dim
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return Observable(0.5 * (g + g.conj().T), split)
+
+
+def tensor_product(a: StateVector, b: StateVector) -> StateVector:
+    return StateVector(np.kron(a.amplitudes, b.amplitudes), a.split.concat(b.split))
+
+
+def schmidt_reconstruct(dec: SchmidtDecomposition) -> np.ndarray:
+    """Rebuild the bipartite amplitude vector sum_n sqrt(p_n) phi_n (x) Phi_n."""
+    amps = 0
+    for k, p in enumerate(dec.probabilities):
+        amps = amps + np.sqrt(p) * np.kron(dec.local_vectors[:, k], dec.env_vectors[:, k])
+    return amps
+
+
+def pointers_from_gram(gram: np.ndarray) -> np.ndarray:
+    """Concrete unit vectors realizing a given Gram matrix (rows are states)."""
+    g = np.asarray(gram, dtype=complex)
+    evals, vecs = np.linalg.eigh(g)
+    evals = np.clip(evals, 0.0, None)
+    s = (vecs * np.sqrt(evals)) @ vecs.conj().T  # hermitian square root, G = S^dag S
+    states = s.T  # column n of S is eps_n; return as rows
+    # renormalize against rounding
+    return states / np.linalg.norm(states, axis=1, keepdims=True)

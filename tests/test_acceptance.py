@@ -12,13 +12,11 @@ import numpy as np
 import pytest
 
 from decolab.hilbert import (
-    SubsystemSplit, StateVector, basis_state, random_state, random_density,
-    random_observable, tensor_product, density_of, expectation, partial_trace,
-    schmidt, schmidt_reconstruct, entanglement_entropy,
+    SubsystemSplit, StateVector, density_of, expectation, partial_trace,
+    schmidt, entanglement_entropy,
 )
 from decolab.premeasure import (
-    PointerCoupling, ScattererChain, ideal_premeasure, decoherence_factor,
-    erase, pointers_from_gram,
+    PointerCoupling, ScattererChain, ideal_premeasure, decoherence_factor, erase,
 )
 from decolab.localization import (
     GridSpec, gaussian_packet, pure_density, moments_of, evolve, fit_exponent,
@@ -31,6 +29,10 @@ from decolab.scenarios import (
     MeasurementChain, run_chain, SCENARIOS,
 )
 from oracles import moment_ode_oracle
+from states import (
+    basis_state, random_state, random_density, random_observable, tensor_product,
+    schmidt_reconstruct,
+)
 
 
 def _report(n, label):

@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from decolab.hilbert import (
     EIG_FLOOR, HERM_BLOCK, SubsystemSplit, StateVector, DensityMatrix, Observable,
-    basis_state, random_state, random_density, random_observable,
-    tensor_product, density_of, expectation, partial_trace, check_gram, check_unit, hermiticity_drift,
-    schmidt, schmidt_reconstruct, entanglement_entropy, offdiagonal_coherence,
+    density_of, expectation, partial_trace, check_gram, check_unit, hermiticity_drift,
+    schmidt, entanglement_entropy, offdiagonal_coherence,
+)
+from states import (
+    basis_state, random_state, random_density, random_observable, tensor_product, schmidt_reconstruct,
 )
 
 DIM_POOLS = [(2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 4)]

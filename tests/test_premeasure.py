@@ -3,14 +3,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decolab.hilbert import (
-    SubsystemSplit, StateVector, density_of, partial_trace, random_state,
-)
+from decolab.hilbert import SubsystemSplit, StateVector, density_of, partial_trace
 from decolab.premeasure import (
     PointerCoupling, ScattererChain,
     rotation_between, ideal_premeasure, decoherence_factor, erase,
-    pointers_from_gram,
 )
+from states import pointers_from_gram, random_state
 
 
 def _random_unit(rng, d):
@@ -46,6 +44,40 @@ def test_pointer_coupling_validation():
 def test_pointer_coupling_rejects_nan_state():
     with pytest.raises(ValueError, match="environment state not normalized"):
         PointerCoupling(np.array([1.0, 0.0]), np.array([[np.nan, 1.0], [0.0, 1.0]]))
+
+
+def _controlled_rotation_reference(state: StateVector, coupling: PointerCoupling) -> np.ndarray:
+    """kron with env_ready, then rotation_between(ready, pointer_n) on system slice n."""
+    t = np.kron(state.amplitudes, coupling.env_ready).reshape(coupling.system_dim, -1, coupling.env_dim)
+    for n, pointer in enumerate(coupling.env_pointers):
+        t[n] = t[n] @ rotation_between(coupling.env_ready, pointer).T
+    return t.reshape(-1)
+
+
+def test_premeasure_matches_controlled_rotation_and_erases():
+    """The direct product equals the controlled rotation of a ready environment.
+
+    The input already carries an earlier record of another dimension, so a
+    product on the wrong axis cannot agree with the reference.
+    """
+    rng = np.random.default_rng(23)
+    ready3 = _random_unit(rng, 3)
+    cases = [
+        (2, PointerCoupling(_random_unit(rng, 2), np.array([_random_unit(rng, 2) for _ in range(2)]))),
+        (3, PointerCoupling(_random_unit(rng, 3), np.array([_random_unit(rng, 3) for _ in range(3)]))),
+        (3, PointerCoupling(ready3, np.array([np.exp(1j * phi) * ready3 for phi in (0.0, 0.4, -2.0)]))),
+    ]
+    for d_sys, coupling in cases:
+        earlier = PointerCoupling(_random_unit(rng, 4), np.array([_random_unit(rng, 4) for _ in range(d_sys)]))
+        psi = random_state(rng, SubsystemSplit((d_sys,)))
+        joint = ideal_premeasure(psi, earlier)
+        assert np.max(np.abs(joint.amplitudes - _controlled_rotation_reference(psi, earlier))) < 1e-14
+        recorded = ideal_premeasure(joint, coupling)
+        assert recorded.split.dims == (d_sys, 4, coupling.env_dim)
+        assert np.max(np.abs(recorded.amplitudes - _controlled_rotation_reference(joint, coupling))) < 1e-14
+        restored = erase(recorded, [earlier, coupling], subset=(0, 1))
+        expected = np.kron(np.kron(psi.amplitudes, earlier.env_ready), coupling.env_ready)
+        assert np.max(np.abs(restored.amplitudes - expected)) < 1e-14
 
 
 def test_premeasure_creates_perfect_record():

@@ -6,7 +6,8 @@ import pytest
 from scipy.linalg import expm
 
 from decolab.errors import PreconditionError
-from decolab.hilbert import density_of, partial_trace
+from decolab.hilbert import StateVector, SubsystemSplit, density_of, partial_trace
+from decolab.premeasure import PointerCoupling, ideal_premeasure
 from decolab.localization import ObservableTrace, fit_exponent
 from decolab.scenarios.twoslit import _initial_state
 from decolab.scenarios import (
@@ -14,7 +15,7 @@ from decolab.scenarios import (
     ChiralConfig, chiral_run, classify_regime,
     ChargeModel, charge_reduced_density,
     DecayConfig, decay_run, golden_rule_rate, revival_time, survival_peak,
-    MeasurementChain, build_chain_state, run_chain,
+    MeasurementChain, run_chain,
     SCENARIOS, scenario_names,
 )
 
@@ -315,13 +316,22 @@ def test_chain_rejects_nan_amplitude():
         MeasurementChain(np.array([np.nan, 1.0]))
 
 
+def _chain_stage(chain: MeasurementChain, recorded: tuple[bool, bool, bool]) -> StateVector:
+    """system (x) apparatus (x) environment (x) observer, each factor recording the system
+    in its basis pointers or, if it has not recorded yet, left in its ready state e0."""
+    n = chain.n_outcomes
+    e0 = np.eye(n)[0]
+    state = StateVector(chain.amplitudes, SubsystemSplit((n,)))
+    for records in recorded:
+        state = ideal_premeasure(state, PointerCoupling(e0, np.eye(n) if records else np.tile(e0, (n, 1))))
+    return state
+
+
 def test_chain_stages_entangle_progressively():
     c = np.array([0.6, 0.8])
     chain = MeasurementChain(c)
-    meas = build_chain_state(chain, "meas")
-    decoh = build_chain_state(chain, "decoh")
-    with pytest.raises(ValueError):
-        build_chain_state(chain, "collapse")
+    meas = _chain_stage(chain, (True, False, False))
+    decoh = _chain_stage(chain, (True, True, False))
     # reduced system state is diag(|c|^2) at both stages (records exist)
     for state in (meas, decoh):
         red = partial_trace(density_of(state), (0,))
