@@ -15,7 +15,13 @@ same positivity.  Every test is written so that a NaN fails it, so
 non-finite entries are rejected.  The cost is O(n^2) reads
 (`hermiticity_drift`, row blocks, no n x n temporary) plus one Cholesky
 factorization (`check_positive`); eigvalsh runs only on the rejection
-path, to decide and to name the eigenvalue.
+path, to decide and to name the eigenvalue.  A DensityMatrix built from a
+factor V, rho = V V^dag (as `density_of` and `partial_trace` of such a state
+build it), is positive by construction and pays for no Cholesky: with
+tr rho = |V|_F^2 = 1 the rounding of V V^dag moves no eigenvalue below about
+-r * 1.1e-16 for r columns, far above EIG_FLOOR.  Its hermiticity and trace
+are still read, as fl(V V^dag) need not be exactly hermitian.  A state built
+from entries still pays for the Cholesky.
 """
 from __future__ import annotations
 
@@ -137,22 +143,38 @@ def _hermitian_over(entries, split: SubsystemSplit) -> np.ndarray:
 
 @dataclass
 class DensityMatrix:
-    entries: np.ndarray
+    """A density matrix over a split, given by its entries or by a factor V with rho = V V^dag.
+
+    Pass entries, or None and `factor=` an n x r matrix, never both.  From
+    a factor the entries are built as V V^dag, which is positive by
+    construction, so only the Cholesky is skipped: hermiticity and trace are
+    read either way.
+    """
+
+    entries: np.ndarray | None
     split: SubsystemSplit
+    factor: np.ndarray | None = None
 
     def __post_init__(self):
+        if (self.entries is None) == (self.factor is None):
+            raise ValueError("give exactly one of entries and factor")
+        if self.factor is not None:
+            self.factor = np.asarray(self.factor, dtype=complex)
+            self.entries = self.factor @ self.factor.conj().T  # (n, n) only for an n x r factor
         self.entries = _hermitian_over(self.entries, self.split)
         tr = np.trace(self.entries)
         if not abs(tr - 1.0) <= NORM_TOL:
             raise ValueError(f"trace {tr} != 1")
-        check_positive(self.entries, "density matrix")
+        if self.factor is None:
+            check_positive(self.entries, "density matrix")
 
     @property
     def dim(self) -> int:
         return self.split.dim
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.entries @ self.entries)))
+        """tr rho^2 = sum |rho_ij|^2, as rho is hermitian."""
+        return float(np.vdot(self.entries, self.entries).real)
 
 
 @dataclass
@@ -181,13 +203,13 @@ class SchmidtDecomposition:
 
 
 def density_of(psi: StateVector) -> DensityMatrix:
-    return DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.split)
+    return DensityMatrix(None, psi.split, factor=psi.amplitudes[:, None])
 
 
 def expectation(a: Observable, rho: DensityMatrix) -> float:
     if a.entries.shape != rho.entries.shape:
         raise ValueError("dimension mismatch between observable and state")
-    raw = np.trace(a.entries @ rho.entries)
+    raw = np.einsum("ij,ji->", a.entries, rho.entries)  # tr(A rho) without the product
     if abs(raw.imag) >= 1e-10:
         raise ValueError(f"expectation value has imaginary part {raw.imag}")
     return float(raw.real)
@@ -203,17 +225,25 @@ def _factor_indices(split: SubsystemSplit, indices) -> tuple[int, ...]:
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every factor not listed in `keep` (kept factors stay in order)."""
+    """Trace out every factor not listed in `keep` (kept factors stay in order).
+
+    The reduced state of a factored rho = V V^dag is factored too: V with
+    its row index split into the factors, the kept ones moved first and
+    the rest merged with V's columns, is d_keep x (d_rest r).
+    """
     keep = _factor_indices(rho.split, keep)
     n = rho.split.n_factors
     dims = rho.split.dims
+    d_keep = prod(dims[k] for k in keep)
+    traced = tuple(i for i in range(n) if i not in keep)
+    if rho.factor is not None:
+        v = rho.factor.reshape(dims + (-1,)).transpose(keep + traced + (n,))
+        return DensityMatrix(None, rho.split.select(keep), factor=v.reshape(d_keep, -1))
     t = rho.entries.reshape(dims + dims)
     # contract row/column axes of each traced-out factor
-    traced = [i for i in range(n) if i not in keep]
     for count, i in enumerate(traced):
         ax = i - count  # axes shift as we trace
         t = np.trace(t, axis1=ax, axis2=ax + (n - count))
-    d_keep = prod(dims[k] for k in keep)
     return DensityMatrix(t.reshape(d_keep, d_keep), rho.split.select(keep))
 
 

@@ -1,13 +1,14 @@
 """Ideal premeasurement, environmental records and erasure.
 
 The system basis states get correlated with environment states through the
-controlled rotation sum_n |n><n| (x) U_n, where U_n = rotation_between(ready,
-pointer_n) takes the ready state to pointer n.  Acting on a ready
-environment, that unitary yields sum_n c_n phi_n Phi_n, so
-`ideal_premeasure` writes the record directly as that product.  Because the
-coupling is a genuine unitary, every record can be coherently undone:
-`erase` applies the inverse rotations U_n^dag.  What cannot be undone from
-the reduced state alone is quantified by `decoherence_factor`.
+controlled rotation sum_n |n><n| (x) U_n, where U_n takes the ready state to
+pointer n, rotating within span{ready, pointer_n} and fixing its orthogonal
+complement.  Acting on a ready environment, that unitary yields
+sum_n c_n phi_n Phi_n, so `ideal_premeasure` writes the record directly as
+that product.  Because the coupling is a genuine unitary, every record can
+be coherently undone: `erase` applies the inverse rotations U_n^dag.  What
+cannot be undone from the reduced state alone is quantified by
+`decoherence_factor`.
 """
 from __future__ import annotations
 
@@ -65,25 +66,24 @@ class ScattererChain:
         return len(self.overlaps)
 
 
-def rotation_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unitary mapping unit vector a to unit vector b, identity on span{a,b}^perp."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+def _unrotate_rows(rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row v of `rows` mapped to (U^dag v)^T, for U the rotation of unit a onto unit b.
+
+    U is the identity on span{a, b}^perp.  In an orthonormal frame F of
+    span{a, b}, U = I + F (M - I) F^dag: F = [a, a_perp] with
+    M = [[alpha, -beta], [beta, conj(alpha)]], alpha = <a|b>,
+    beta = |b - alpha a|, or, when b is a phase times a, F = [a] and
+    M = [[alpha]].  So v^T conj(U) = v^T + (v^T conj(F)) (conj(M) - I) F^T,
+    a rank-2 update.
+    """
     alpha = np.vdot(a, b)
     c = b - alpha * a
-    nc = np.linalg.norm(c)
-    d = len(a)
-    if nc < 1e-14:
-        # b is a phase times a
-        return np.eye(d, dtype=complex) + (alpha - 1.0) * np.outer(a, a.conj())
-    aperp = c / nc
-    beta = nc
-    u = np.eye(d, dtype=complex)
-    u -= np.outer(a, a.conj()) + np.outer(aperp, aperp.conj())
-    # 2x2 block [[alpha, -conj(beta)], [beta, conj(alpha)]] in basis {a, aperp}
-    u += alpha * np.outer(a, a.conj()) - np.conj(beta) * np.outer(a, aperp.conj())
-    u += beta * np.outer(aperp, a.conj()) + np.conj(alpha) * np.outer(aperp, aperp.conj())
-    return u
+    beta = np.linalg.norm(c)
+    if beta < 1e-14:
+        frame, m = a[:, None], np.array([[alpha]])
+    else:
+        frame, m = np.column_stack((a, c / beta)), np.array([[alpha, -beta], [beta, np.conj(alpha)]])
+    return rows + (rows @ frame.conj()) @ ((m.conj() - np.eye(len(m))) @ frame.T)
 
 
 def ideal_premeasure(state: StateVector, coupling: PointerCoupling) -> StateVector:
@@ -125,7 +125,9 @@ def erase(joint: StateVector, couplings: list[PointerCoupling], subset) -> State
     `joint` must have the system as factor 0 and one environment factor per
     coupling, appended in interaction order.  Erasing all records restores
     the initial product state; erasing a subset leaves the complement's
-    decoherence factor on the reduced state.
+    decoherence factor on the reduced state.  U_n^dag differs from the
+    identity only on span{ready, pointer_n}, so it is applied to system
+    slice n as a rank-2 update (`_unrotate_rows`), never as a d x d matrix.
     """
     n_env = joint.split.n_factors - 1
     if len(couplings) != n_env:
@@ -137,8 +139,8 @@ def erase(joint: StateVector, couplings: list[PointerCoupling], subset) -> State
     for j in reversed(subset):
         c = couplings[j]
         t = np.moveaxis(t, 1 + j, -1).copy()
+        rows = t.reshape(len(t), -1, c.env_dim)  # rows[n] holds environment vectors as rows
         for n, pointer in enumerate(c.env_pointers):
-            # the rows of t[n] are environment vectors v, and v^T conj(U_n) = (U_n^dag v)^T
-            t[n] = t[n] @ rotation_between(c.env_ready, pointer).conj()
+            rows[n] = _unrotate_rows(rows[n], c.env_ready, pointer)
         t = np.moveaxis(t, -1, 1 + j)
     return StateVector(t.reshape(-1), joint.split)

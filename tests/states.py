@@ -54,3 +54,24 @@ def pointers_from_gram(gram: np.ndarray) -> np.ndarray:
     states = s.T  # column n of S is eps_n; return as rows
     # renormalize against rounding
     return states / np.linalg.norm(states, axis=1, keepdims=True)
+
+
+def rotation_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unitary mapping unit vector a to unit vector b, identity on span{a,b}^perp."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    alpha = np.vdot(a, b)
+    c = b - alpha * a
+    nc = np.linalg.norm(c)
+    d = len(a)
+    if nc < 1e-14:
+        # b is a phase times a
+        return np.eye(d, dtype=complex) + (alpha - 1.0) * np.outer(a, a.conj())
+    aperp = c / nc
+    beta = nc
+    u = np.eye(d, dtype=complex)
+    u -= np.outer(a, a.conj()) + np.outer(aperp, aperp.conj())
+    # 2x2 block [[alpha, -conj(beta)], [beta, conj(alpha)]] in basis {a, aperp}
+    u += alpha * np.outer(a, a.conj()) - np.conj(beta) * np.outer(a, aperp.conj())
+    u += beta * np.outer(aperp, a.conj()) + np.conj(alpha) * np.outer(aperp, aperp.conj())
+    return u

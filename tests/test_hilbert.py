@@ -11,6 +11,7 @@ from decolab.hilbert import (
 from states import (
     basis_state, random_state, random_density, random_observable, tensor_product, schmidt_reconstruct,
 )
+from test_acceptance import _partial_trace_oracle
 
 DIM_POOLS = [(2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 4)]
 
@@ -44,6 +45,18 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.2, -0.2]), split)  # negative eigenvalue
     rho = DensityMatrix(np.diag([0.25, 0.75]), split)
     assert rho.purity() == pytest.approx(0.625)
+    with pytest.raises(ValueError, match="exactly one"):
+        DensityMatrix(np.diag([0.25, 0.75]), split, factor=np.diag([0.5, 0.75**0.5]))
+    with pytest.raises(ValueError, match="exactly one"):
+        DensityMatrix(None, split)
+    with pytest.raises(ValueError, match="trace"):
+        DensityMatrix(None, split, factor=np.array([[0.6], [0.8 + 1e-9]]))  # |V|_F != 1
+    for shape in [(2,), (1, 1), (2, 1, 1)]:  # not one row per basis state
+        with pytest.raises(ValueError, match="square matrix matching the split"):
+            DensityMatrix(None, split, factor=np.full(shape, 2**-0.5))
+    rho = DensityMatrix(None, split, factor=np.diag([0.5, 0.75**0.5]))
+    assert rho.purity() == pytest.approx(0.625)
+    assert np.max(np.abs(rho.entries - np.diag([0.25, 0.75]))) < 1e-15
 
 
 def _random_hermitian(rng, n):
@@ -104,6 +117,33 @@ def test_rank_one_states_are_accepted_at_dimension_1024():
         assert rho.dim == 1024
 
 
+def _keep_subsets(n):
+    return [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, 2**n)]
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (2,) * 10])
+def test_factored_state_matches_entries_path(dims):
+    """density_of and partial_trace of a factored state agree with the entries path on every keep subset."""
+    split = SubsystemSplit(dims)
+    psi = random_state(np.random.default_rng(len(dims)), split)
+    rho = density_of(psi)
+    assert rho.factor.shape == (split.dim, 1)
+    plain = DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()), split)
+    assert plain.factor is None
+    assert np.max(np.abs(rho.entries - plain.entries)) < 1e-14
+    oracle_keeps = _keep_subsets(len(dims)) if split.dim <= 12 else [(0,), (1, 4, 9)]
+    for keep in _keep_subsets(len(dims)):
+        red = partial_trace(rho, keep)
+        d_keep = red.dim
+        assert red.factor.shape == (d_keep, split.dim // d_keep)
+        assert red.split.dims == tuple(dims[k] for k in keep)
+        assert np.max(np.abs(red.entries - partial_trace(plain, keep).entries)) < 1e-14
+        if keep in oracle_keeps:
+            assert np.max(np.abs(red.entries - _partial_trace_oracle(plain.entries, dims, keep))) < 1e-14
+    twice = partial_trace(partial_trace(rho, (0, 1)), (1,))  # a factored state of rank above 1
+    assert np.max(np.abs(twice.entries - partial_trace(plain, (1,)).entries)) < 1e-14
+
+
 @pytest.mark.parametrize("lo", [0.0, -1e-6])
 def test_construction_leaves_the_input_byte_identical(lo):
     a = _state_with_min_eigenvalue(np.random.default_rng(4), 64, lo)
@@ -151,6 +191,8 @@ def test_non_finite_entries_are_rejected(entries):
     split = SubsystemSplit((2,))
     with pytest.raises(ValueError):
         DensityMatrix(np.array(entries), split)
+    with pytest.raises(ValueError):
+        DensityMatrix(None, split, factor=np.array(entries))
     with pytest.raises(ValueError):
         Observable(np.array(entries), split)
     with pytest.raises(ValueError):

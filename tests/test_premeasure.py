@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from decolab.hilbert import SubsystemSplit, StateVector, density_of, partial_trace
 from decolab.premeasure import (
     PointerCoupling, ScattererChain,
-    rotation_between, ideal_premeasure, decoherence_factor, erase,
+    ideal_premeasure, decoherence_factor, erase,
 )
-from states import pointers_from_gram, random_state
+from states import pointers_from_gram, random_state, rotation_between
 
 
 def _random_unit(rng, d):
@@ -153,6 +153,28 @@ def test_erase_all_restores_initial_product():
     for c in couplings:
         expected = np.kron(expected, c.env_ready)
     assert np.allclose(restored.amplitudes, expected, atol=1e-12)
+
+
+def test_erase_applies_the_inverse_rotations_to_any_state():
+    """On a state that is no record at all, erase equals U_n^dag on each system slice of each listed factor."""
+    rng = np.random.default_rng(29)
+    ready = _random_unit(rng, 4)
+    couplings = [
+        PointerCoupling(_random_unit(rng, 2), np.array([_random_unit(rng, 2) for _ in range(3)])),
+        PointerCoupling(ready, np.array([_random_unit(rng, 4), 1j * ready, _random_unit(rng, 4)])),
+    ]
+    psi = random_state(rng, SubsystemSplit((3, 2, 4)))
+    before = psi.amplitudes.copy()
+    for subset in [(1,), (0,), (0, 1)]:
+        t = psi.amplitudes.reshape(3, 2, 4).copy()
+        for n in range(3):
+            if 0 in subset:
+                t[n] = rotation_between(couplings[0].env_ready, couplings[0].env_pointers[n]).conj().T @ t[n]
+            if 1 in subset:
+                t[n] = t[n] @ rotation_between(couplings[1].env_ready, couplings[1].env_pointers[n]).conj()
+        erased = erase(psi, couplings, subset)
+        assert np.max(np.abs(erased.amplitudes - t.reshape(-1))) < 1e-14
+        assert np.array_equal(psi.amplitudes, before)
 
 
 def test_erase_subset_leaves_complement_factor():
