@@ -21,7 +21,7 @@ from ..params import Param, declared
 from .twoslit import TwoSlitConfig, two_slit_run
 from .chiral import ChiralConfig, chiral_run, classify_regime
 from .charge import ChargeConfig, ChargeModel, charge_reduced_density
-from .decay import DecayConfig, decay_run, golden_rule_rate, revival_time, survival_peak
+from .decay import DecayConfig, band_limited_rate, decay_run, golden_rule_rate, revival_time, survival_peak
 from .chain import ChainConfig, MeasurementChain, run_chain
 
 
@@ -132,14 +132,16 @@ def _run_decay(cfg: DecayConfig, seed: int) -> ScenarioResult:
         peak_t, peak_p = survival_peak(trace, 0.6 * t_rev)
     except ValueError:
         peak_t = peak_p = "no revival in window"
-    summary = {
-        "golden_rule_rate": golden_rule_rate(cfg),
+    summary = {"golden_rule_rate": golden_rule_rate(cfg)}
+    if cfg.monitored:  # the rate the monitored fit should match
+        summary["band_limited_rate"] = band_limited_rate(cfg)
+    summary.update({
         "fitted_rate": rate,
         "fit_residual": resid,
         "revival_time_nominal": t_rev,
         "late_peak_time": peak_t,
         "late_peak_survival": peak_p,
-    }
+    })
     if rho is None:  # unitary path: norm conservation at t = 0 is the one invariant measured
         checked = {"trace_drift": abs(1.0 - float(p[0])), "hermiticity_drift": None, "min_eigenvalue": None}
     else:

@@ -16,7 +16,9 @@ CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg")
 
 
 def test_configs_are_checked_in():
-    assert [p.name for p in CONFIGS] == ["chiral-regimes.cfg", "decay-revival.cfg", "two-slit-sweep.cfg"]
+    assert [p.name for p in CONFIGS] == [
+        "chiral-regimes.cfg", "decay-revival.cfg", "two-slit-sweep.cfg", "zeno-crossover.cfg",
+    ]
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)

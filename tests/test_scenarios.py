@@ -1,5 +1,6 @@
 """Tests for the physics scenario presets."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from decolab.hilbert import StateVector, SubsystemSplit, density_of, partial_tra
 from decolab.premeasure import PointerCoupling, ideal_premeasure
 from decolab.localization import ObservableTrace, fit_exponent
 from decolab.scenarios.twoslit import _initial_state
+from decolab.scenarios.decay import BLOCK
 from decolab.scenarios import (
     TwoSlitConfig, two_slit_run,
     ChiralConfig, chiral_run, classify_regime,
@@ -233,6 +235,22 @@ def test_monitored_decay_is_exponential():
     assert summary["fitted_rate"] > 0
 
 
+@pytest.mark.parametrize("n_modes, t_final", [(161, 4.0), (401, 2.0)])
+def test_monitored_rate_follows_the_band_limited_law(n_modes, t_final):
+    """Monitoring broadens the level into a Lorentzian of half-width monitor_rate, and only the
+    share (2/pi) arctan(n spacing / 2 monitor_rate) of it inside the band decays."""
+    spec = SCENARIOS["decay-monitored"]
+    params = {key: p.default for key, p in spec.params.items()}
+    params.update(n_modes=n_modes, t_final=t_final)
+    summary = spec.run(params, 0, spec.default_stride).summary
+    g, spacing, gamma = params["coupling"], params["mode_spacing"], params["monitor_rate"]
+    law = 2.0 * math.pi * g**2 / spacing * (2.0 / math.pi) * math.atan(n_modes * spacing / (2.0 * gamma))
+    assert 3.0 / summary["fitted_rate"] < t_final  # the fit window [0, 3/rate] lies inside the run
+    assert summary["band_limited_rate"] == pytest.approx(law, rel=1e-12)
+    assert summary["fitted_rate"] == pytest.approx(law, rel=0.03)
+    assert summary["fitted_rate"] < 0.6 * summary["golden_rule_rate"]
+
+
 def test_survival_peak_lookup():
     trace = decay_run(DecayConfig())[0]
     t_rev = revival_time(DecayConfig())
@@ -280,6 +298,31 @@ def test_monitored_decay_matches_site_basis_loop(n_modes, stride):
     assert rho.shape == (n_modes + 1, n_modes + 1)
     assert np.max(np.abs(rho - ref_rho)) < 1e-10
     assert np.array_equal(rho, rho.conj().T)
+
+
+@pytest.mark.parametrize("n_modes, n_steps", [
+    (21, BLOCK - 1), (21, BLOCK), (21, BLOCK + 1), (21, 2 * BLOCK + 3), (1, 2 * BLOCK + 3),
+])
+def test_monitored_decay_block_edges(n_modes, n_steps):
+    """Runs that end before, at and just after a block's end, with records (stride 7) inside blocks."""
+    cfg = DecayConfig(n_modes=n_modes, mode_spacing=1.0, coupling=0.5, monitored=True,
+                      monitor_rate=20.0, t_final=n_steps * 0.01, dt=0.01, record_stride=7)
+    trace, rho = decay_run(cfg)
+    t, rec = trace.as_arrays()
+    ref_t, ref_p, ref_rho = _site_basis_monitored_decay(cfg)
+    assert np.max(np.abs(t - ref_t)) < 1e-12
+    assert np.max(np.abs(rec["survival"] - ref_p)) < 1e-10
+    assert np.max(np.abs(rho - ref_rho)) < 1e-10
+    assert np.array_equal(rho, rho.conj().T)
+
+
+def test_unobserved_monitored_decay_is_unitary():
+    """At monitor_rate 0 the monitored path gives the unmonitored survival."""
+    cfg = DecayConfig(t_final=1.0, record_stride=7, monitor_rate=0.0)
+    t_u, unitary = decay_run(cfg)[0].as_arrays()
+    t_m, monitored = decay_run(replace(cfg, monitored=True))[0].as_arrays()
+    assert np.array_equal(t_u, t_m)
+    assert np.max(np.abs(unitary["survival"] - monitored["survival"])) < 1e-12
 
 
 def test_decay_paths_record_at_the_same_steps():
