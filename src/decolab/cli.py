@@ -45,7 +45,7 @@ def _cmd_run(args) -> int:
             print(f"config echo:\n{_echo(cfg)}", file=sys.stderr)
             return 4
         audit = report.audit
-        eig = audit["min_eigenvalue"]  # None where the run does not measure it
+        eig = audit["min_eigenvalue_bound"]  # certified or measured; None where the run keeps no state
         if audit["trace_drift"] > AUDIT_TRACE_TOL or (eig is not None and eig < AUDIT_EIG_FLOOR):
             print(f"invariant audit failed for [{cfg.scenario}]: {audit}", file=sys.stderr)
             status = 4

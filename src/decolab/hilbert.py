@@ -14,14 +14,14 @@ eigenvalue below EIG_FLOOR; an Observable must be square and hermitian;
 same positivity.  Every test is written so that a NaN fails it, so
 non-finite entries are rejected.  The cost is O(n^2) reads
 (`hermiticity_drift`, row blocks, no n x n temporary) plus one Cholesky
-factorization (`check_positive`); eigvalsh runs only on the rejection
-path, to decide and to name the eigenvalue.  A DensityMatrix built from a
-factor V, rho = V V^dag (as `density_of` and `partial_trace` of such a state
-build it), is positive by construction and pays for no Cholesky: with
-tr rho = |V|_F^2 = 1 the rounding of V V^dag moves no eigenvalue below about
--r * 1.1e-16 for r columns, far above EIG_FLOOR.  Its hermiticity and trace
-are still read, as fl(V V^dag) need not be exactly hermitian.  A state built
-from entries still pays for the Cholesky.
+factorization in `min_eigenvalue_if_uncertified`, the positivity routine of
+`check_positive` and of every run's final `audit`; eigvalsh runs only where
+it fails.  A DensityMatrix built from a factor V, rho = V V^dag (as
+`density_of` and `partial_trace` of such a state build it), is positive by
+construction and pays for no Cholesky: with tr rho = |V|_F^2 = 1 the
+rounding of V V^dag moves no eigenvalue below about -r * 1.1e-16 for r
+columns, far above EIG_FLOOR.  Its hermiticity and trace are still read,
+as fl(V V^dag) need not be exactly hermitian.
 """
 from __future__ import annotations
 
@@ -57,30 +57,33 @@ def check_unit(v: np.ndarray, subject: str) -> None:
         raise ValueError(f"{subject} not normalized: |v| = {norm}")
 
 
-def check_positive(a: np.ndarray, subject: str) -> None:
-    """ValueError naming the smallest eigenvalue if the hermitian matrix a has one below EIG_FLOOR.
+def min_eigenvalue_if_uncertified(a: np.ndarray, weight: float = 1.0) -> float | None:
+    """None if a Cholesky factorization certifies that the hermitian a * weight has no eigenvalue
+    below EIG_FLOOR, else eigvalsh's smallest eigenvalue of a * weight.
 
-    A Cholesky factorization of a - (EIG_FLOOR/2) I that succeeds accepts a:
-    its smallest eigenvalue is then above EIG_FLOOR by about half the floor,
-    far beyond rounding.  Only a failed factorization pays for eigvalsh,
-    which decides by the rule min eigenvalue < EIG_FLOOR.  The diagonal is
-    shifted in place and restored exactly, so a comes back unchanged; a
-    read-only a is copied.
+    Factoring a - (EIG_FLOOR/2)/weight I certifies a margin of half the floor,
+    far beyond its backward error of order n eps |a * weight|.  The diagonal
+    is shifted in place and restored exactly; a read-only a is copied.
     """
     if not a.flags.writeable:
         a = a.copy()
     diagonal = np.einsum("ii->i", a)  # a writable view
     saved = diagonal.copy()
-    diagonal -= EIG_FLOOR / 2.0
+    diagonal -= EIG_FLOOR / 2.0 / weight
     try:
         np.linalg.cholesky(a)
-        return
+        return None
     except np.linalg.LinAlgError:
         pass
     finally:
         diagonal[:] = saved
-    lo = np.linalg.eigvalsh(a)[0]
-    if lo < EIG_FLOOR:
+    return float(np.linalg.eigvalsh(a)[0]) * weight
+
+
+def check_positive(a: np.ndarray, subject: str) -> None:
+    """ValueError naming the smallest eigenvalue if the hermitian matrix a has one below EIG_FLOOR."""
+    lo = min_eigenvalue_if_uncertified(a)
+    if lo is not None and lo < EIG_FLOOR:
         raise ValueError(f"{subject}: negative eigenvalue {lo}")
 
 
@@ -302,17 +305,21 @@ def check_gram(g) -> np.ndarray:
     return g
 
 
-def audit(rho: np.ndarray, weight: float = 1.0) -> dict[str, float]:
+def audit(rho: np.ndarray, weight: float = 1.0, *, hermitian: bool = False) -> dict[str, float | None]:
     """Invariant audit of the entries of a density matrix whose probability operator is rho * weight.
 
-    Returns the trace drift |tr(rho) weight - 1|, the hermiticity drift max |rho - rho^dag|
-    over the raw entries and the smallest eigenvalue of rho * weight.  The weight is the
+    Returns the trace drift |tr(rho) weight - 1|, the hermiticity drift max |rho - rho^dag| over
+    the raw entries (None, unread, for a rho `hermitian` by construction), and for rho * weight
+    `min_eigenvalue`, measured or None where the Cholesky certificate holds, and
+    `min_eigenvalue_bound`, that eigenvalue or the certified EIG_FLOOR.  The weight is the
     spacing dx of a grid density matrix, 1 for a finite-dimensional one.
     """
+    lo = min_eigenvalue_if_uncertified(rho, weight)
     return {
         "trace_drift": abs(float(np.trace(rho).real) * weight - 1.0),
-        "hermiticity_drift": hermiticity_drift(rho),
-        "min_eigenvalue": float(np.linalg.eigvalsh(rho)[0]) * weight,
+        "hermiticity_drift": None if hermitian else hermiticity_drift(rho),
+        "min_eigenvalue": lo,
+        "min_eigenvalue_bound": EIG_FLOOR if lo is None else lo,
     }
 
 

@@ -23,7 +23,7 @@ complex rho in full (shape, hermiticity within 1e-10, trace, NaN and inf)
 and keeps its hermitian part.  The states the solver makes are hermitian
 by construction; each is still checked for a finite sum of M and for unit
 trace (O(N)), a drift raising InvariantError.  No step reads or restores
-hermiticity.
+hermiticity, and `GridDensityMatrix.audit` reports its drift as None.
 """
 from __future__ import annotations
 
@@ -120,9 +120,9 @@ class GridDensityMatrix:
     def trace(self) -> float:
         return float(np.trace(self.m)) * self.grid.dx
 
-    def audit(self) -> dict[str, float]:
+    def audit(self) -> dict[str, float | None]:
         # on a complex rho of its own, not cached in .rho: an audited run's final state keeps only M
-        return audit(_decode(self.m, self.m.T), self.grid.dx)
+        return audit(_decode(self.m, self.m.T), self.grid.dx, hermitian=True)
 
 
 def _decode(m_ij, m_ji) -> np.ndarray:

@@ -132,8 +132,12 @@ def decay_run(cfg: DecayConfig) -> tuple[ObservableTrace, np.ndarray | None]:
     u = np.exp(-1j * evals * (n_steps * cfg.dt))
     phase = np.outer(u, u.conj())  # not exp(-i (E_j - E_k) t): for large |E| t its rounding breaks unitarity
     np.fill_diagonal(phase, 1.0)  # |u_j|^2 = 1 exactly, so rounding does not drift the trace
-    rho = vecs @ (rho * phase) @ vecs.conj().T
-    return ObservableTrace(times, {"survival": survival}), 0.5 * (rho + rho.conj().T)
+    rho *= phase
+    rho.real = vecs @ rho.real @ vecs.T  # vecs is real: real products, not complex ones
+    rho.imag = vecs @ rho.imag @ vecs.T
+    rho += rho.conj().T
+    rho *= 0.5
+    return ObservableTrace(times, {"survival": survival}), rho
 
 
 def revival_time(cfg: DecayConfig) -> float:

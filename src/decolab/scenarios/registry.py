@@ -5,7 +5,7 @@ exposes, a record stride, a time column and a description.  Its `params`
 are the exposed fields' declarations (`decolab.params`), keyed by config
 key; `configure` builds and so validates the config object, and `run`
 runs it, producing a time-indexed trace, a summary of fitted quantities,
-and an invariant audit (trace drift, hermiticity drift, minimum eigenvalue).
+and an invariant audit of the final state (`hilbert.audit`).
 """
 from __future__ import annotations
 
@@ -143,7 +143,8 @@ def _run_decay(cfg: DecayConfig, seed: int) -> ScenarioResult:
         "late_peak_survival": peak_p,
     })
     if rho is None:  # unitary path: norm conservation at t = 0 is the one invariant measured
-        checked = {"trace_drift": abs(1.0 - float(p[0])), "hermiticity_drift": None, "min_eigenvalue": None}
+        checked = {"trace_drift": abs(1.0 - float(p[0])), "hermiticity_drift": None, "min_eigenvalue": None,
+                   "min_eigenvalue_bound": None}
     else:
         checked = audit(rho)
     return ScenarioResult(trace, summary, checked)

@@ -27,6 +27,16 @@ def random_density(rng: np.random.Generator, split: SubsystemSplit) -> DensityMa
     return DensityMatrix(m, split)
 
 
+def state_with_min_eigenvalue(rng: np.random.Generator, n: int, lo: float) -> np.ndarray:
+    """A hermitian unit-trace matrix of dimension n whose smallest eigenvalue is lo."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    rest = rng.uniform(0.5, 1.0, size=n - 1)
+    evals = np.concatenate(([lo], rest * (1.0 - lo) / rest.sum()))
+    a = (q * evals) @ q.conj().T
+    a = 0.5 * (a + a.conj().T)
+    return a / np.trace(a).real
+
+
 def random_observable(rng: np.random.Generator, split: SubsystemSplit) -> Observable:
     d = split.dim
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))

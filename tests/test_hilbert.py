@@ -3,13 +3,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from decolab import hilbert
 from decolab.hilbert import (
     EIG_FLOOR, HERM_BLOCK, SubsystemSplit, StateVector, DensityMatrix, Observable,
     density_of, expectation, partial_trace, check_gram, check_unit, hermiticity_drift,
-    schmidt, entanglement_entropy, offdiagonal_coherence,
+    schmidt, entanglement_entropy, offdiagonal_coherence, audit,
 )
+from decolab.localization import GridSpec, gaussian_packet, pure_density
+from decolab.scenarios.twoslit import TwoSlitConfig, two_slit_run
 from states import (
-    basis_state, random_state, random_density, random_observable, tensor_product, schmidt_reconstruct,
+    basis_state, random_state, random_density, random_observable, state_with_min_eigenvalue, tensor_product,
+    schmidt_reconstruct,
 )
 from test_acceptance import _partial_trace_oracle
 
@@ -86,21 +90,11 @@ def test_hermiticity_drift_carries_nan(where):
     assert np.isnan(hermiticity_drift(a))
 
 
-def _state_with_min_eigenvalue(rng, n, lo):
-    """A hermitian unit-trace matrix of dimension n whose smallest eigenvalue is lo."""
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    rest = rng.uniform(0.5, 1.0, size=n - 1)
-    evals = np.concatenate(([lo], rest * (1.0 - lo) / rest.sum()))
-    a = (q * evals) @ q.conj().T
-    a = 0.5 * (a + a.conj().T)
-    return a / np.trace(a).real
-
-
 @pytest.mark.parametrize("n", [2, 64, 300])
 @pytest.mark.parametrize("lo", [0.0, -3e-11, -8e-11, -2e-10, -1e-6])
 def test_positivity_decision_matches_eigvalsh_rule(n, lo):
     """Accepted exactly when eigvalsh's smallest eigenvalue is not below EIG_FLOOR."""
-    a = _state_with_min_eigenvalue(np.random.default_rng([n, 7]), n, lo)
+    a = state_with_min_eigenvalue(np.random.default_rng([n, 7]), n, lo)
     rejected = np.linalg.eigvalsh(a)[0] < EIG_FLOOR
     assert rejected == (lo < EIG_FLOOR)  # the construction is far from the floor's rounding
     if rejected:
@@ -108,6 +102,41 @@ def test_positivity_decision_matches_eigvalsh_rule(n, lo):
             DensityMatrix(a, SubsystemSplit((n,)))
     else:
         DensityMatrix(a, SubsystemSplit((n,)))
+
+
+def test_rank_deficient_states_are_certified_without_eigvalsh(monkeypatch):
+    grid = GridSpec(512, -4.0, 4.0)
+    psi = gaussian_packet(grid, -1.0, 0.15) + gaussian_packet(grid, 1.0, 0.15)
+    pure_grid = pure_density(grid, psi / np.sqrt(2.0), 10.0, 1.0)  # rank one; the packets barely overlap
+    # the grid benchmark's headline geometry: N = 512, 12 localization and kinetic steps from a pure state
+    _, evolved = two_slit_run(TwoSlitConfig(n_points=512, mass=10.0, slit_separation=2.0, packet_width=0.15,
+                                            lam=1.0, t_final=0.12))
+    split = SubsystemSplit((2,) * 9)
+    pure = density_of(random_state(np.random.default_rng(3), split))
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called where the certificate should hold")
+    monkeypatch.setattr(hilbert.np.linalg, "eigvalsh", refuse)
+    for got in (pure_grid.audit(), evolved.audit(), audit(pure.entries)):
+        assert got["min_eigenvalue"] is None
+        assert got["min_eigenvalue_bound"] == EIG_FLOOR
+    DensityMatrix(pure.entries, split)  # the constructor's check takes the same certificate
+
+
+@pytest.mark.parametrize("weight", [1.0, 0.01])
+@pytest.mark.parametrize("lo", [0.0, -1e-11, -1e-9, -1e-7])
+def test_audit_certifies_or_measures_as_eigvalsh_decides(lo, weight):
+    """The certificate holds exactly where eigvalsh finds nothing below EIG_FLOOR; otherwise the audit
+    reports eigvalsh's eigenvalue of rho * weight."""
+    a = state_with_min_eigenvalue(np.random.default_rng([64, 11]), 64, lo) / weight
+    before = a.tobytes()
+    got = audit(a, weight)
+    assert a.tobytes() == before
+    lowest = np.linalg.eigvalsh(a)[0] * weight
+    assert lowest == pytest.approx(lo, abs=1e-14)
+    if lowest >= EIG_FLOOR:
+        assert got["min_eigenvalue"] is None and got["min_eigenvalue_bound"] == EIG_FLOOR
+    else:
+        assert got["min_eigenvalue"] == got["min_eigenvalue_bound"] == pytest.approx(lowest, rel=1e-9)
 
 
 def test_rank_one_states_are_accepted_at_dimension_1024():
@@ -146,7 +175,7 @@ def test_factored_state_matches_entries_path(dims):
 
 @pytest.mark.parametrize("lo", [0.0, -1e-6])
 def test_construction_leaves_the_input_byte_identical(lo):
-    a = _state_with_min_eigenvalue(np.random.default_rng(4), 64, lo)
+    a = state_with_min_eigenvalue(np.random.default_rng(4), 64, lo)
     before = a.tobytes()
     try:
         DensityMatrix(a, SubsystemSplit((64,)))
@@ -156,7 +185,7 @@ def test_construction_leaves_the_input_byte_identical(lo):
 
 
 def test_read_only_input_is_accepted():
-    a = _state_with_min_eigenvalue(np.random.default_rng(5), 64, 0.0)
+    a = state_with_min_eigenvalue(np.random.default_rng(5), 64, 0.0)
     a.flags.writeable = False
     assert DensityMatrix(a, SubsystemSplit((64,))).dim == 64
     g = np.full((3, 3), 0.5, dtype=complex)

@@ -11,13 +11,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import decolab
-from decolab.cli import main
+from decolab.cli import AUDIT_EIG_FLOOR, main
+from decolab.hilbert import EIG_FLOOR
 from decolab.errors import ConfigError
 from decolab.runner import (
     RunConfig, parse_config, emit_config, execute,
     read_trace_csv, write_trace_csv, summarize, format_summary_table, fit_exponent,
 )
 from decolab.localization import ObservableTrace
+from decolab.scenarios import registry
+from states import state_with_min_eigenvalue
 
 CHARGE_CFG = """\
 # quick superselection sweep
@@ -346,9 +349,35 @@ def test_cli_run_reports_unmeasured_audit_fields_as_null(tmp_path, monkeypatch):
     assert main(["run", str(cfg)]) == 0
     text = (tmp_path / "cavity.csv.report.json").read_text()
     assert '"hermiticity_drift": null' in text and '"min_eigenvalue": null' in text
+    assert '"min_eigenvalue_bound": null' in text
     audit = json.loads(text)["audit"]
     assert audit["hermiticity_drift"] is None and audit["min_eigenvalue"] is None
+    assert audit["min_eigenvalue_bound"] is None
     assert audit["trace_drift"] < 1e-12
+
+
+@pytest.mark.parametrize("lo, code", [(-1e-9, 0), (-1e-7, 4)])
+def test_cli_run_exit_4_reads_the_measured_eigenvalue(lo, code, tmp_path, monkeypatch, capsys):
+    """A planted final state below EIG_FLOOR is measured; only one below AUDIT_EIG_FLOOR fails the run."""
+    assert AUDIT_EIG_FLOOR < -1e-9 < EIG_FLOOR and -1e-7 < AUDIT_EIG_FLOOR
+    run = registry.decay_run
+
+    def planted(cfg):
+        trace, rho = run(cfg)
+        return trace, state_with_min_eigenvalue(np.random.default_rng(8), len(rho), lo)
+    monkeypatch.setattr(registry, "decay_run", planted)
+    cfg = tmp_path / "monitored.cfg"
+    cfg.write_text("[decay-monitored]\nn_modes = 41\nt_final = 1.0\noutput = monitored.csv\n")
+    monkeypatch.setenv("DECOLAB_OUTDIR", str(tmp_path))
+    assert main(["run", str(cfg)]) == code
+    audit = json.loads((tmp_path / "monitored.csv.report.json").read_text())["audit"]
+    assert audit["min_eigenvalue"] == audit["min_eigenvalue_bound"] == pytest.approx(lo, rel=1e-4)
+    err = capsys.readouterr().err
+    if code:
+        assert "invariant audit failed for [decay-monitored]" in err
+        assert repr(audit["min_eigenvalue"]) in err
+    else:
+        assert err == ""
 
 
 def test_chiral_audit_reports_the_records_trace_drift(tmp_path):

@@ -53,7 +53,11 @@ def test_two_slit_frozen_mode_is_exact():
     k, _, resid = fit_exponent(t, rec["visibility"], floor=1e-12)
     assert k == pytest.approx(cfg.lam * cfg.slit_separation**2, rel=1e-10)
     assert resid < 1e-12
-    assert final.audit()["min_eigenvalue"] > -1e-10
+    audit = final.audit()
+    assert audit["min_eigenvalue_bound"] >= -1e-10
+    assert audit["hermiticity_drift"] is None  # structural
+    assert np.linalg.eigvalsh(final.rho)[0] * final.grid.dx > -1e-10
+    assert np.max(np.abs(final.rho - final.rho.conj().T)) < 1e-10
 
 
 @pytest.mark.parametrize("n_points", [64, 65])
