@@ -323,8 +323,10 @@ def audit(rho: np.ndarray, weight: float = 1.0, *, hermitian: bool = False) -> d
     }
 
 
-def offdiagonal_coherence(rho: DensityMatrix | np.ndarray) -> float:
-    """Sum of |rho_mn| over m != n in the stored (computational) basis, of a DensityMatrix or its bare entries."""
+def offdiagonal_coherence(rho: DensityMatrix | np.ndarray) -> float | np.ndarray:
+    """Sum of |rho_mn| over m != n in the stored (computational) basis, of a DensityMatrix or its bare entries;
+    a float, or for a stack of entries (..., n, n) an array (...) whose every sum equals its own matrix's call."""
     a = np.abs(rho.entries if isinstance(rho, DensityMatrix) else rho)
-    np.fill_diagonal(a, 0.0)  # not a.sum() - trace(a), which cancels off-diagonals below its rounding
-    return float(a.sum())
+    i = np.arange(a.shape[-1])
+    a[..., i, i] = 0.0  # not a.sum() - trace(a), which cancels off-diagonals below its rounding
+    return a.sum(axis=(-2, -1)) if a.ndim > 2 else float(a.sum())

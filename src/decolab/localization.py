@@ -259,26 +259,19 @@ def _spectrum(m: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None) -
     return r, t
 
 
-def _kicked(s: GridDensityMatrix, r: np.ndarray, t: np.ndarray, rotation) -> GridDensityMatrix:
-    """s after the kick whose _rotation is given, from (r, t) = _spectrum(s.m), which it overwrites."""
-    cos, sin = rotation
-    r *= cos
-    t *= sin
-    r += t
-    np.fft.ifft(r, axis=0, out=r)  # irfft2, its first pass in place
-    return _state(s, np.fft.irfft(r, s.grid.n_points, axis=1))
+def _kicked(s: GridDensityMatrix, r: np.ndarray, t: np.ndarray, rotation, keep: bool = False) -> GridDensityMatrix:
+    """s after the kick whose _rotation is given, from (r, t) = _spectrum(s.m), which it overwrites unless keep."""
+    k = np.multiply(r, rotation[0], out=None if keep else r)
+    k += np.multiply(t, rotation[1], out=None if keep else t)
+    np.fft.ifft(k, axis=0, out=k)  # irfft2, its first pass in place
+    return _state(s, np.fft.irfft(k, s.grid.n_points, axis=1))
 
 
-def kinetic_half_step(s: GridDensityMatrix, dt: float,
-                      spectrum: tuple[np.ndarray, np.ndarray] | None = None) -> GridDensityMatrix:
-    """Unitary free evolution over dt/2: rho -> U rho U^dag, U = F^-1 e^{-i p^2 dt/4m} F.
-
-    spectrum, when given, is _spectrum(s.m) as the caller already has it; it is left unchanged.
-    """
+def kinetic_half_step(s: GridDensityMatrix, dt: float) -> GridDensityMatrix:
+    """Unitary free evolution over dt/2: rho -> U rho U^dag, U = F^-1 e^{-i p^2 dt/4m} F."""
     if not math.isfinite(s.mass):
         return _state(s, s.m.copy())
-    r, t = _spectrum(s.m) if spectrum is None else (spectrum[0].copy(), spectrum[1].copy())
-    return _kicked(s, r, t, _rotation(s.grid, s.mass, dt / 2.0))
+    return _kicked(s, *_spectrum(s.m), _rotation(s.grid, s.mass, dt / 2.0))
 
 
 def _march(s0: GridDensityMatrix, dt: float, n_steps: int, stride: int, record):
@@ -410,9 +403,11 @@ def evolve(
     """
     n_steps = step_count(t_final, dt)
     rows = []
+    half = _rotation(s0.grid, s0.mass, dt / 2.0) if math.isfinite(s0.mass) else None
 
     def record(step, s, spectrum):
-        rows.append(_record(s if spectrum is None else kinetic_half_step(s, dt, spectrum), recorder))
+        # an inner state gets its closing half-kick from the spectrum, kept for the loop's own kick
+        rows.append(_record(s if spectrum is None else _kicked(s, *spectrum, half, keep=True), recorder))
 
     final = _march(s0, dt, n_steps, record_stride, record)
     times = np.array(record_steps(n_steps, record_stride)) * dt

@@ -344,6 +344,25 @@ def test_offdiagonal_coherence():
     assert offdiagonal_coherence(DensityMatrix(np.diag([0.5, 0.5]), split)) == 0.0
 
 
+def test_offdiagonal_coherence_returns_a_float_for_one_matrix():
+    rho = DensityMatrix(np.array([[0.5, 0.3j], [-0.3j, 0.5]]), SubsystemSplit((2,)))
+    assert type(offdiagonal_coherence(rho)) is float
+    assert type(offdiagonal_coherence(rho.entries)) is float
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3)])
+@pytest.mark.parametrize("n", [2, 3, 12])
+def test_offdiagonal_coherence_of_a_stack_equals_each_matrix(shape, n):
+    rng = np.random.default_rng(n)
+    stack = rng.normal(size=shape + (n, n)) + 1j * rng.normal(size=shape + (n, n))
+    before = stack.copy()
+    sums = offdiagonal_coherence(stack)
+    assert np.array_equal(stack, before)  # the input is left unchanged
+    assert sums.shape == shape and sums.dtype == np.float64
+    for index in np.ndindex(shape):
+        assert sums[index] == offdiagonal_coherence(stack[index])
+
+
 def test_entropy_of_maximally_mixed():
     split = SubsystemSplit((4,))
     rho = DensityMatrix(np.eye(4) / 4.0, split)
@@ -357,3 +376,5 @@ def test_offdiagonal_coherence_of_tiny_offdiagonals(r):
     np.fill_diagonal(entries, 1.0 / 3.0)
     rho = DensityMatrix(entries, SubsystemSplit((3,)))
     assert offdiagonal_coherence(rho) == pytest.approx(2.0 * 0.9**r, rel=1e-12, abs=0.0)
+    sums = offdiagonal_coherence(np.stack([entries] * 3))  # and so is each matrix of a stack
+    assert np.array_equal(sums, np.full(3, offdiagonal_coherence(rho)))

@@ -1,15 +1,19 @@
 """Tests for the physics scenario presets."""
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from decolab import cli
 from decolab.errors import PreconditionError
-from decolab.hilbert import StateVector, SubsystemSplit, density_of, partial_trace
+from decolab.hilbert import StateVector, SubsystemSplit, density_of, offdiagonal_coherence, partial_trace
 from decolab.premeasure import PointerCoupling, ideal_premeasure
-from decolab.localization import ObservableTrace, fit_exponent
+from decolab.localization import ObservableTrace, fit_exponent, record_steps
+from decolab.runner import write_trace_csv
+from decolab.scenarios import registry
 from decolab.scenarios.twoslit import _initial_state
 from decolab.scenarios.decay import BLOCK
 from decolab.scenarios import (
@@ -203,6 +207,67 @@ def test_charge_offdiagonal_decays_geometrically():
             for r in range(5)]
     for r in range(1, 5):
         assert vals[r] == pytest.approx(0.5 * 0.9**r, abs=1e-14)
+
+
+def _charge_reference(n_charges: int, shells: int, overlap: float, stride: int) -> ObservableTrace:
+    """The charge records one validated charge_reduced_density per record."""
+    amps = np.full(n_charges, 1.0 / math.sqrt(n_charges))
+    gram = np.full((n_charges, n_charges), overlap, dtype=complex)
+    np.fill_diagonal(gram, 1.0)
+    steps = record_steps(shells, stride)
+    sums = [offdiagonal_coherence(charge_reduced_density(ChargeModel(amps, r, gram))) for r in steps]
+    return ObservableTrace(steps, {"offdiagonal_sum": sums})
+
+
+def _charge_run(n_charges: int, shells: int, overlap: float, stride: int):
+    return SCENARIOS["charge-shells"].run({"n_charges": n_charges, "shells": shells, "overlap": overlap}, 1, stride)
+
+
+@pytest.mark.parametrize("n_charges, shells, overlap, stride, budget", [
+    (3, 400, 0.0, 1, None),
+    (3, 400, 0.9, 1, None),
+    (3, 4000, 0.9995, 1, None),
+    (3, 400, 1.0, 1, None),
+    (3, 0, 0.9, 1, None),
+    (4, 100, 0.99, 7, None),  # a partial last stride: ..., 98, 100
+    (3, 23, 0.9, 1, 50),  # chunks of 5 records, the last of 4
+    (5, 60, 0.97, 4, 30),  # chunks of 1 record
+    (300, 5, 0.99, 2, None),  # n_charges^2 > BUDGET: chunks of 1 record
+])
+def test_charge_chunked_records_equal_the_per_record_reduced_density(monkeypatch, n_charges, shells, overlap,
+                                                                     stride, budget):
+    if budget is not None:
+        monkeypatch.setattr(registry, "BUDGET", budget)
+    result = _charge_run(n_charges, shells, overlap, stride)
+    expected = _charge_reference(n_charges, shells, overlap, stride)
+    assert np.array_equal(result.trace.times, expected.times)
+    assert np.array_equal(result.trace.records["offdiagonal_sum"], expected.records["offdiagonal_sum"])
+    assert result.summary["final_offdiagonal_sum"] == expected.records["offdiagonal_sum"][-1]
+
+
+def test_charge_records_memory_is_bounded_by_the_chunk(monkeypatch):
+    """32 charges over 1,001 records: one unchunked stack of rho is 16 MB, a chunk of 64 records 1 MiB."""
+    def peak_bytes():
+        tracemalloc.start()
+        try:
+            _charge_run(32, 1000, 0.99, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes() < 8e6
+    monkeypatch.setattr(registry, "BUDGET", 2**30)  # every record in one chunk
+    assert peak_bytes() > 8e6  # the bound above tells the two apart
+
+
+def test_charge_cli_csv_equals_the_per_record_reference(tmp_path, monkeypatch):
+    monkeypatch.setenv("DECOLAB_OUTDIR", str(tmp_path))
+    cfg = tmp_path / "charge.cfg"
+    cfg.write_text("[charge-shells]\noutput = run.csv\nrecord_stride = 1\nshells = 4000\nn_charges = 3\n"
+                   "overlap = 0.9987\n")
+    assert cli.main(["run", str(cfg)]) == 0
+    write_trace_csv(str(tmp_path / "reference.csv"), "shell", _charge_reference(3, 4000, 0.9987, 1))
+    assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 # ---------------------------------------------------------------- decay
