@@ -16,12 +16,13 @@ non-finite entries are rejected.  The cost is O(n^2) reads
 (`hermiticity_drift`, row blocks, no n x n temporary) plus one Cholesky
 factorization in `min_eigenvalue_if_uncertified`, the positivity routine of
 `check_positive` and of every run's final `audit`; eigvalsh runs only where
-it fails.  A DensityMatrix built from a factor V, rho = V V^dag (as
+it fails.  A DensityMatrix built from an n x r factor V, rho = V V^dag (as
 `density_of` and `partial_trace` of such a state build it), is positive by
 construction and pays for no Cholesky: with tr rho = |V|_F^2 = 1 the
 rounding of V V^dag moves no eigenvalue below about -r * 1.1e-16 for r
-columns, far above EIG_FLOOR.  Its hermiticity and trace are still read,
-as fl(V V^dag) need not be exactly hermitian.
+columns, far above EIG_FLOOR.  It is checked in O(n r) from V's shape and
+trace |V|_F^2; its entries are built when first read, and only then is their
+hermiticity read, as fl(V V^dag) need not be exactly hermitian.
 """
 from __future__ import annotations
 
@@ -144,32 +145,40 @@ def _hermitian_over(entries, split: SubsystemSplit) -> np.ndarray:
     return a
 
 
-@dataclass
 class DensityMatrix:
     """A density matrix over a split, given by its entries or by a factor V with rho = V V^dag.
 
-    Pass entries, or None and `factor=` an n x r matrix, never both.  From
-    a factor the entries are built as V V^dag, which is positive by
-    construction, so only the Cholesky is skipped: hermiticity and trace are
-    read either way.
+    Pass entries, or None and `factor=` an n x r matrix, never both.  A
+    factored state is checked from V alone (shape, trace |V|_F^2) and pays for
+    no Cholesky; its entries V V^dag are built, read for hermiticity and
+    cached when `entries` is first read.
     """
 
-    entries: np.ndarray | None
-    split: SubsystemSplit
-    factor: np.ndarray | None = None
+    def __init__(self, entries: np.ndarray | None, split: SubsystemSplit, factor: np.ndarray | None = None):
+        self._entries, self.split, self.factor = entries, split, factor
+        self.__post_init__()
 
     def __post_init__(self):
-        if (self.entries is None) == (self.factor is None):
+        if (self._entries is None) == (self.factor is None):
             raise ValueError("give exactly one of entries and factor")
-        if self.factor is not None:
-            self.factor = np.asarray(self.factor, dtype=complex)
-            self.entries = self.factor @ self.factor.conj().T  # (n, n) only for an n x r factor
-        self.entries = _hermitian_over(self.entries, self.split)
-        tr = np.trace(self.entries)
+        if self.factor is None:
+            self._entries = _hermitian_over(self._entries, self.split)
+            tr = np.trace(self._entries)
+        else:
+            v = self.factor = np.asarray(self.factor, dtype=complex)
+            if v.ndim != 2 or len(v) != self.split.dim:
+                raise ValueError(f"factor must be a ({self.split.dim}, r) matrix, not {v.shape}")
+            tr = np.vdot(v, v).real
         if not abs(tr - 1.0) <= NORM_TOL:
             raise ValueError(f"trace {tr} != 1")
         if self.factor is None:
-            check_positive(self.entries, "density matrix")
+            check_positive(self._entries, "density matrix")
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            self._entries = _hermitian_over(self.factor @ self.factor.conj().T, self.split)
+        return self._entries
 
     @property
     def dim(self) -> int:

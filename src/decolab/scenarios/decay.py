@@ -107,11 +107,12 @@ def decay_run(cfg: DecayConfig) -> tuple[ObservableTrace, np.ndarray | None]:
     survival = np.empty(len(steps))
     survival[0] = 1.0
     block_survival = np.empty(BLOCK)
+    # v_{start+j} = exp(i E j dt) w * exp(i E start dt): direct phases, not running products u^k, which drift
+    within = np.exp(1j * np.outer(np.arange(1, BLOCK + 1) * cfg.dt, evals)) * w
     filled = 1  # records written so far
     for start in range(0, n_steps, BLOCK):
         b = min(BLOCK, n_steps - start)
-        # direct phases, not running products u^k, which drift by rounding
-        v = np.exp(1j * np.outer(np.arange(start + 1, start + b + 1) * cfg.dt, evals)) * w
+        v = within[:b] * np.exp(1j * (start * cfg.dt) * evals)
         left[0:2 * b:2] = v
         right[1:2 * b:2] = v.conj()
         q = v @ rho.T  # row j is rho v_j at the block's start

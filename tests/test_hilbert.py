@@ -1,4 +1,6 @@
 """Unit and property tests for the finite-dimensional kinematics layer."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,7 +58,7 @@ def test_density_matrix_validation():
     with pytest.raises(ValueError, match="trace"):
         DensityMatrix(None, split, factor=np.array([[0.6], [0.8 + 1e-9]]))  # |V|_F != 1
     for shape in [(2,), (1, 1), (2, 1, 1)]:  # not one row per basis state
-        with pytest.raises(ValueError, match="square matrix matching the split"):
+        with pytest.raises(ValueError, match=r"factor must be a \(2, r\) matrix"):
             DensityMatrix(None, split, factor=np.full(shape, 2**-0.5))
     rho = DensityMatrix(None, split, factor=np.diag([0.5, 0.75**0.5]))
     assert rho.purity() == pytest.approx(0.625)
@@ -171,6 +173,53 @@ def test_factored_state_matches_entries_path(dims):
             assert np.max(np.abs(red.entries - _partial_trace_oracle(plain.entries, dims, keep))) < 1e-14
     twice = partial_trace(partial_trace(rho, (0, 1)), (1,))  # a factored state of rank above 1
     assert np.max(np.abs(twice.entries - partial_trace(plain, (1,)).entries)) < 1e-14
+
+
+def test_factored_trace_builds_no_entries():
+    """partial_trace of density_of keeps to the factor: at n = 2^12 no n x n array (256 MiB) is built."""
+    psi = random_state(np.random.default_rng(12), SubsystemSplit((2,) * 12))
+    tracemalloc.start()
+    try:
+        red = partial_trace(density_of(psi), (0, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert red.factor.shape == (4, 2**10)
+
+
+def test_factored_entries_are_built_checked_and_cached_on_first_read(monkeypatch):
+    calls = []
+    def counting(a):
+        calls.append(a.shape)
+        return hermiticity_drift(a)
+    monkeypatch.setattr(hilbert, "hermiticity_drift", counting)
+    rho = partial_trace(density_of(random_state(np.random.default_rng(6), SubsystemSplit((2, 3, 4)))), (0, 2))
+    assert not calls
+    first = rho.entries
+    assert calls == [(8, 8)]
+    assert first.tobytes() == (rho.factor @ rho.factor.conj().T).tobytes()
+    assert rho.entries is first
+    assert calls == [(8, 8)]
+
+
+def test_bad_factors_are_rejected_from_the_factor_alone(monkeypatch):
+    """A factor that is not finite, off unit |V|_F or not (split.dim, r) fails before any entries exist."""
+    def refuse(a):
+        raise AssertionError("entries read while checking a factor")
+    monkeypatch.setattr(hilbert, "hermiticity_drift", refuse)
+    split = SubsystemSplit((2,))
+    good = np.array([[0.6], [0.8j]])
+    for bad in (np.nan, np.inf, -np.inf, complex(np.inf, np.nan)):
+        v = good.copy()
+        v[1, 0] = bad
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(None, split, factor=v)
+    with pytest.raises(ValueError, match="trace"):
+        DensityMatrix(None, split, factor=good * 1.01)
+    with pytest.raises(ValueError, match=r"factor must be a \(2, r\) matrix, not \(1, 2\)"):
+        DensityMatrix(None, split, factor=good.T)
+    assert DensityMatrix(None, split, factor=good).factor.shape == (2, 1)
 
 
 @pytest.mark.parametrize("lo", [0.0, -1e-6])
