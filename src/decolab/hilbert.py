@@ -19,10 +19,10 @@ factorization in `min_eigenvalue_if_uncertified`, the positivity routine of
 it fails.  A DensityMatrix built from an n x r factor V, rho = V V^dag (as
 `density_of` and `partial_trace` of such a state build it), is positive by
 construction and pays for no Cholesky: with tr rho = |V|_F^2 = 1 the
-rounding of V V^dag moves no eigenvalue below about -r * 1.1e-16 for r
-columns, far above EIG_FLOOR.  It is checked in O(n r) from V's shape and
-trace |V|_F^2; its entries are built when first read, and only then is their
-hermiticity read, as fl(V V^dag) need not be exactly hermitian.
+rounding of V V^dag moves no eigenvalue below about -r*1.1e-16 for r columns,
+far above EIG_FLOOR.  It is checked in O(n r) from V's shape and trace; its
+purity, entropy and expectations read V, and its entries are built on first
+read, and only then read for hermiticity, as fl(V V^dag) need not be hermitian.
 """
 from __future__ import annotations
 
@@ -184,9 +184,17 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.split.dim
 
+    def _gram(self) -> np.ndarray:
+        """The entries, or of a factored rho = V V^dag the smaller of V^dag V and V V^dag: rho's nonzero spectrum."""
+        v = self.factor
+        if v is None or (self._entries is not None and len(v) <= v.shape[1]):  # V V^dag, already built
+            return self.entries
+        return v.conj().T @ v if v.shape[1] < v.shape[0] else v @ v.conj().T
+
     def purity(self) -> float:
-        """tr rho^2 = sum |rho_ij|^2, as rho is hermitian."""
-        return float(np.vdot(self.entries, self.entries).real)
+        """tr rho^2 = sum |g_ij|^2 of the hermitian g = _gram()."""
+        g = self._gram()
+        return float(np.vdot(g, g).real)
 
 
 @dataclass
@@ -219,9 +227,10 @@ def density_of(psi: StateVector) -> DensityMatrix:
 
 
 def expectation(a: Observable, rho: DensityMatrix) -> float:
-    if a.entries.shape != rho.entries.shape:
+    if a.entries.shape != (rho.dim, rho.dim):
         raise ValueError("dimension mismatch between observable and state")
-    raw = np.einsum("ij,ji->", a.entries, rho.entries)  # tr(A rho) without the product
+    v = rho.factor  # tr(A rho) without the product, or tr(V^dag A V)
+    raw = np.einsum("ij,ji->", a.entries, rho.entries) if v is None else np.vdot(v, a.entries @ v)
     if abs(raw.imag) >= 1e-10:
         raise ValueError(f"expectation value has imaginary part {raw.imag}")
     return float(raw.real)
@@ -298,7 +307,7 @@ def schmidt(psi: StateVector, cut) -> SchmidtDecomposition:
 
 def entanglement_entropy(rho: DensityMatrix) -> float:
     """Von Neumann entropy -sum lam ln lam (natural log, 0 ln 0 = 0)."""
-    evals = np.linalg.eigvalsh(rho.entries)
+    evals = np.linalg.eigvalsh(rho._gram())
     evals = evals[evals > 1e-15]
     return float(-np.sum(evals * np.log(evals)))
 

@@ -20,10 +20,11 @@ into one full kick, in one loop for `evolve` and two-slit.
 
 Validation: `GridDensityMatrix(grid, rho, mass, lam)` checks a caller's
 complex rho in full (shape, hermiticity within 1e-10, trace, NaN and inf)
-and keeps its hermitian part.  The states the solver makes are hermitian
-by construction; each is still checked for a finite sum of M and for unit
-trace (O(N)), a drift raising InvariantError.  No step reads or restores
-hermiticity, and `GridDensityMatrix.audit` reports its drift as None.
+and keeps its hermitian part; a pure state given as psi is checked in O(N)
+from its shape and norm.  The states the solver makes are hermitian by
+construction; each step's state is checked once, after its localization,
+for a finite sum of M and unit trace, a drift raising InvariantError.  No
+step reads or restores hermiticity, and `audit` reports its drift as None.
 """
 from __future__ import annotations
 
@@ -69,28 +70,31 @@ class GridSpec:
 class GridDensityMatrix:
     """rho(x_i, x_j) with continuum normalization sum_i rho_ii dx = 1, stored as M = Re rho + Im rho.
 
-    GridDensityMatrix(grid, rho, mass, lam) takes a complex rho; the solver
-    passes rho None and `encoded=M` for the states it makes.  mass may be
-    math.inf (kinetic term skipped); lam >= 0 is the localization rate with
-    units 1/(length^2 * time).
+    GridDensityMatrix(grid, rho, mass, lam) takes a complex rho; the solver passes
+    rho None and `encoded=M` for the states it makes, or `psi=` for a pure state
+    rho = psi psi^dag, checked from psi, whose M is built on first read.  mass may be
+    math.inf (kinetic term skipped); lam >= 0 is the localization rate, 1/(length^2 time).
     """
 
     def __init__(self, grid: GridSpec, rho: np.ndarray | None, mass: float, lam: float, *,
-                 encoded: np.ndarray | None = None):
+                 encoded: np.ndarray | None = None, psi: np.ndarray | None = None):
         self.grid, self.mass, self.lam = grid, mass, lam
-        self.m = encoded
+        self._m, self.psi = encoded, None if psi is None else np.asarray(psi, dtype=complex)
         self._rho = None if rho is None else np.asarray(rho, dtype=complex)
         self.__post_init__()
 
     def __post_init__(self):
-        """Validation: a caller's rho in full, an encoded state by its trace and a finite sum."""
+        """Validation: a caller's rho in full, psi or an encoded state by its trace and a finite sum."""
         if not (self.mass > 0):
             raise ValueError("mass must be positive (math.inf allowed)")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
         n = self.grid.n_points
-        from_caller = self.m is None
-        if from_caller:
+        from_caller = self._m is None
+        if self.psi is not None:
+            if self.psi.shape != (n,) or self._rho is not None or not from_caller:
+                raise ValueError("psi must match the grid and come without rho or M")
+        elif from_caller:
             rho = self._rho
             if rho.shape != (n, n):
                 raise ValueError("rho shape must match the grid")
@@ -98,17 +102,25 @@ class GridDensityMatrix:
             if not herm <= 1e-10:  # written so that a NaN fails it
                 raise ValueError(f"not hermitian: deviation {herm}")
             # the encoding of rho's hermitian part, (Re + Re^T)/2 + (Im - Im^T)/2
-            self.m = rho.real + rho.imag
-            self.m += (rho.real - rho.imag).T
-            self.m *= 0.5
+            self._m = rho.real + rho.imag
+            self._m += (rho.real - rho.imag).T
+            self._m *= 0.5
             self._rho = None
-        elif self.m.shape != (n, n):
+        elif self._m.shape != (n, n):
             raise ValueError("encoded state shape must match the grid")
-        elif not np.isfinite(self.m.sum()):
+        elif not np.isfinite(self._m.sum()):
             raise ValueError("state holds a NaN or inf")
-        tr = self.trace()
+        tr = self.trace()  # of a psi, sum |psi|^2 dx: a NaN or inf fails it
         if not abs(tr - 1.0) <= 1e-8:  # a caller's bad input, or a drift in a state the solver made
             raise (ValueError if from_caller else InvariantError)(f"trace {tr} != 1")
+
+    @property
+    def m(self) -> np.ndarray:
+        """M; of a pure psi = a + ib, built on first read as [a + b, b - a] [a, b]^T."""
+        if self._m is None:
+            a, b = self.psi.real, self.psi.imag
+            self._m = np.stack((a + b, b - a), axis=1) @ np.stack((a, b))
+        return self._m
 
     @property
     def rho(self) -> np.ndarray:
@@ -118,7 +130,7 @@ class GridDensityMatrix:
         return self._rho
 
     def trace(self) -> float:
-        return float(np.trace(self.m)) * self.grid.dx
+        return float(np.vdot(self.psi, self.psi).real if self._m is None else np.trace(self._m)) * self.grid.dx
 
     def audit(self) -> dict[str, float | None]:
         # on a complex rho of its own, not cached in .rho: an audited run's final state keeps only M
@@ -215,8 +227,7 @@ def gaussian_packet(grid: GridSpec, center: float, sigma: float, momentum: float
 
 
 def pure_density(grid: GridSpec, psi: np.ndarray, mass: float, lam: float) -> GridDensityMatrix:
-    rho = np.outer(psi, psi.conj())
-    return GridDensityMatrix(grid, rho, mass, lam)
+    return GridDensityMatrix(grid, None, mass, lam, psi=psi)
 
 
 def _localization_kernel(grid: GridSpec, lam: float, dt: float) -> np.ndarray:
@@ -227,13 +238,13 @@ def _state(s: GridDensityMatrix, m: np.ndarray) -> GridDensityMatrix:
     return GridDensityMatrix(s.grid, None, s.mass, s.lam, encoded=m)
 
 
-def localization_step(s: GridDensityMatrix, dt: float, kernel: np.ndarray | None = None) -> GridDensityMatrix:
-    """Exact localization flow over dt; `kernel` is _localization_kernel(grid, lam, dt), if already built."""
+def localization_step(s: GridDensityMatrix, dt: float, kernel: np.ndarray | None = None, *, out=None) -> GridDensityMatrix:
+    """Exact localization flow over dt, written into out if given (s.m allowed); `kernel` reuses a built one."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
     if kernel is None:
         kernel = _localization_kernel(s.grid, s.lam, dt)
-    return _state(s, s.m * kernel)
+    return _state(s, np.multiply(s.m, kernel, out=out))
 
 
 def _rotation(grid: GridSpec, mass: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -259,29 +270,37 @@ def _spectrum(m: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None) -
     return r, t
 
 
-def _kicked(s: GridDensityMatrix, r: np.ndarray, t: np.ndarray, rotation, keep: bool = False) -> GridDensityMatrix:
-    """s after the kick whose _rotation is given, from (r, t) = _spectrum(s.m), which it overwrites unless keep."""
-    k = np.multiply(r, rotation[0], out=None if keep else r)
-    k += np.multiply(t, rotation[1], out=None if keep else t)
+def _kicked(r: np.ndarray, t: np.ndarray, rotation, out: np.ndarray, work=None) -> np.ndarray:
+    """M after the kick of `rotation` from (r, t) = _spectrum(M), into out; kicked in r and t, or in work (two arrays)."""
+    k, u = (r, t) if work is None else work
+    np.multiply(r, rotation[0], out=k)
+    k += np.multiply(t, rotation[1], out=u)
     np.fft.ifft(k, axis=0, out=k)  # irfft2, its first pass in place
-    return _state(s, np.fft.irfft(k, s.grid.n_points, axis=1))
+    return np.fft.irfft(k, len(out), axis=1, out=out)
 
 
 def kinetic_half_step(s: GridDensityMatrix, dt: float) -> GridDensityMatrix:
-    """Unitary free evolution over dt/2: rho -> U rho U^dag, U = F^-1 e^{-i p^2 dt/4m} F."""
-    if not math.isfinite(s.mass):
+    """Unitary free evolution over dt/2: rho -> U rho U^dag, U = F^-1 e^{-i p^2 dt/4m} F;
+    a pure state stays pure, as U psi psi^dag U^dag = (U psi)(U psi)^dag."""
+    finite = math.isfinite(s.mass)
+    if s.psi is not None:
+        psi = np.fft.ifft(np.exp(-1j * s.grid.p**2 / (4.0 * s.mass) * dt) * np.fft.fft(s.psi)) if finite else s.psi
+        return GridDensityMatrix(s.grid, None, s.mass, s.lam, psi=psi)
+    if not finite:
         return _state(s, s.m.copy())
-    return _kicked(s, *_spectrum(s.m), _rotation(s.grid, s.mass, dt / 2.0))
+    return _state(s, _kicked(*_spectrum(s.m), _rotation(s.grid, s.mass, dt / 2.0), np.empty_like(s.m)))
 
 
 def _march(s0: GridDensityMatrix, dt: float, n_steps: int, stride: int, record):
     """The grid's one step loop: n_steps Strang steps from s0, adjacent half-kicks merged.
 
-    Between localizations the state goes to the half spectrum for one full kick.
-    At each step of record_steps(n_steps, stride), record(step, s, spectrum) gets
-    the state s at that step with spectrum None; at inner steps of a finite mass
-    it gets the state before its closing half-kick and spectrum = _spectrum(s.m),
-    which the loop kicks in place afterwards.  Returns the final state.
+    The opening half-kick's M, never s0's, is the one state buffer: each localization multiplies
+    it in place, validating the step once (K_ii = 1 keeps the kicked trace, and a NaN or inf
+    survives the multiply by K >= 0), and each full kick overwrites it from two spectrum buffers,
+    freed with the kernel before the closing half-kick.  At each step of record_steps(n_steps,
+    stride), record(step, s, spectrum) gets the state s at that step with spectrum None; at inner
+    steps of a finite mass it gets the state before its closing half-kick and spectrum =
+    _spectrum(s.m), kicked in place afterwards: views of the loop's buffers, valid during the call.
     """
     finite = math.isfinite(s0.mass)
     kernel = _localization_kernel(s0.grid, s0.lam, dt)
@@ -290,15 +309,17 @@ def _march(s0: GridDensityMatrix, dt: float, n_steps: int, stride: int, record):
         buffers = (np.empty_like(rotation[0], complex), np.empty_like(rotation[0], complex))
     at = set(record_steps(n_steps, stride)[1:-1])
     record(0, s0, None)
-    s = kinetic_half_step(s0, dt) if finite else s0
+    s = kinetic_half_step(s0, dt)  # for mass = inf a copy: the loop's own M
+    m = s.m
     for step in range(1, n_steps + 1):
-        s = localization_step(s, dt, kernel)
-        spectrum = _spectrum(s.m, buffers) if finite and step < n_steps else None
+        s = localization_step(s, dt, kernel, out=m)
+        spectrum = _spectrum(m, buffers) if finite and step < n_steps else None
         if step in at:
             record(step, s, spectrum)
         if spectrum is not None:
-            s = _kicked(s, *spectrum, rotation)
+            _kicked(*spectrum, rotation, out=m)
     if finite:
+        del kernel, rotation, buffers
         s = kinetic_half_step(s, dt)
     record(n_steps, s, None)
     return s
@@ -389,25 +410,23 @@ def _record(s: GridDensityMatrix, names) -> dict[str, float]:
     return out
 
 
-def evolve(
-    s0: GridDensityMatrix,
-    t_final: float,
-    dt: float,
-    recorder=("trace", "var_xx", "cov_xp", "var_pp", "offdiag_peak"),
-    record_stride: int = 1,
-) -> tuple[GridDensityMatrix, ObservableTrace]:
+def evolve(s0: GridDensityMatrix, t_final: float, dt: float,
+           recorder=("trace", "var_xx", "cov_xp", "var_pp", "offdiag_peak"),
+           record_stride: int = 1) -> tuple[GridDensityMatrix, ObservableTrace]:
     """Strang-split evolution to t_final, recording observables along the way.
 
     Every state is hermitian by construction; one whose trace drifts
     beyond 1e-8 stops the run with InvariantError.
     """
     n_steps = step_count(t_final, dt)
-    rows = []
-    half = _rotation(s0.grid, s0.mass, dt / 2.0) if math.isfinite(s0.mass) else None
+    rows, kick = [], None
 
     def record(step, s, spectrum):
-        # an inner state gets its closing half-kick from the spectrum, kept for the loop's own kick
-        rows.append(_record(s if spectrum is None else _kicked(s, *spectrum, half, keep=True), recorder))
+        nonlocal kick
+        if spectrum is not None:  # an inner state's closing half-kick, in a rotation and buffers made once
+            kick = kick or (_rotation(s.grid, s.mass, dt / 2.0), np.empty_like(s.m), *map(np.empty_like, spectrum))
+            s = _state(s, _kicked(*spectrum, kick[0], out=kick[1], work=kick[2:]))
+        rows.append(_record(s, recorder))
 
     final = _march(s0, dt, n_steps, record_stride, record)
     times = np.array(record_steps(n_steps, record_stride)) * dt

@@ -54,14 +54,13 @@ def _initial_state(cfg: TwoSlitConfig) -> tuple[GridDensityMatrix, int, int]:
     edge = max(abs(psi[0]), abs(psi[-1])) ** 2 * grid.dx
     if edge > 1e-8:
         raise PreconditionError(f"packets reach the grid edge (density {edge:.2e})")
-    rho = np.outer(psi, psi.conj())
-    return GridDensityMatrix(grid, rho, cfg.mass, cfg.lam), i_right, i_left
+    return GridDensityMatrix(grid, None, cfg.mass, cfg.lam, psi=psi), i_right, i_left
 
 
 def two_slit_run(cfg: TwoSlitConfig) -> tuple[ObservableTrace, GridDensityMatrix]:
     """Evolve the two-packet state, recording V(t) at the packet-center entry; also returns the final grid state.
 
-    rho_rl comes from M_rl and M_lr.  Inner records read them from the half
+    rho_rl is psi_r psi_l^* at t = 0, then from M_rl and M_lr.  Inner records read them from the half
     spectrum (R, T) before its closing half-kick, in O(N^2) with no inverse
     transform: the kicked M_ab is Re(u_a^T (cos(theta) R + sin(theta) T) v_b) with
     u_p = e^{ip(x_a - x_0)}, v_q = w_q e^{iq(x_b - x_0)} / N^2, and w_q = 2 for
@@ -72,7 +71,7 @@ def two_slit_run(cfg: TwoSlitConfig) -> tuple[ObservableTrace, GridDensityMatrix
     """
     n_steps = step_count(cfg.t_final, cfg.dt)
     s0, i_r, i_l = _initial_state(cfg)
-    v0 = float(abs(_decode(s0.m[i_r, i_l], s0.m[i_l, i_r])))
+    v0 = float(abs(s0.psi[i_r] * s0.psi[i_l].conj()))
     if v0 <= 0:
         raise PreconditionError("no initial cross peak; packets unresolved on grid")
     peaks, traces = [], []
@@ -89,7 +88,9 @@ def two_slit_run(cfg: TwoSlitConfig) -> tuple[ObservableTrace, GridDensityMatrix
         u_cos, u_sin = u * cos, u * sin
 
     def record(step: int, s: GridDensityMatrix, spectrum):
-        if spectrum is None:
+        if s.psi is not None:  # the pure initial state: rho_rl = psi_r psi_l^*
+            rho_rl = s.psi[i_r] * s.psi[i_l].conj()
+        elif spectrum is None:
             rho_rl = _decode(s.m[i_r, i_l], s.m[i_l, i_r])
         else:
             rw, tw = spectrum[0] @ w, spectrum[1] @ w

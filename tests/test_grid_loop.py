@@ -6,6 +6,7 @@ reference below steps every half-kick as U rho U^dag with a dense U built
 from plain numpy, and applies no decolab step function.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,3 +84,34 @@ def test_infinite_mass_loop_matches_exactly():
     assert np.array_equal(final.rho, states[-1])
     out, _ = evolve(s0, 0.1, 0.01, record_stride=3)
     assert np.array_equal(out.rho, states[-1])
+
+
+@pytest.mark.parametrize("pure", [True, False])
+def test_evolve_is_repeatable_and_leaves_s0_untouched(pure):
+    """The loop steps in buffers of its own: two runs from one s0 agree bitwise, and s0.m never changes."""
+    grid = GridSpec(128, -6.0, 6.0)
+    psi = gaussian_packet(grid, 1.0, 0.4, -2.0) + gaussian_packet(grid, -1.0, 0.4, 2.0)
+    psi /= np.linalg.norm(psi) * math.sqrt(grid.dx)
+    s0 = pure_density(grid, psi, 3.0, 0.8) if pure else GridDensityMatrix(grid, np.outer(psi, psi.conj()), 3.0, 0.8)
+    before = s0.m.copy()
+    runs = [evolve(s0, 0.1, 0.01, recorder=OBSERVABLES, record_stride=3) for _ in range(2)]
+    assert np.array_equal(s0.m, before)
+    (first, t1), (second, t2) = runs
+    assert first.m is not second.m and np.array_equal(first.m, second.m)
+    for name in OBSERVABLES:
+        assert np.array_equal(t1.records[name], t2.records[name]), name
+
+
+def test_two_slit_at_512_points_peaks_below_14_mb():
+    """A finite-mass run holds M, the kernel, the rotation and two spectrum buffers (10.3 MB at N = 512),
+    and frees all but M before its closing half-kick; the state is pure, not N x N, until then."""
+    cfg = TwoSlitConfig(slit_separation=2.0, packet_width=0.15, mass=10.0, lam=1.0, t_final=0.12, dt=0.01,
+                        n_points=512)
+    two_slit_run(cfg)  # warm numpy's FFT plan cache
+    tracemalloc.start()
+    try:
+        two_slit_run(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 14e6

@@ -222,6 +222,23 @@ def test_bad_factors_are_rejected_from_the_factor_alone(monkeypatch):
     assert DensityMatrix(None, split, factor=good).factor.shape == (2, 1)
 
 
+@pytest.mark.parametrize("keep", [(0, 2), (1,), (0, 1, 2)])  # V of 8 x 3, 3 x 8 and 24 x 1
+def test_factored_reads_answer_from_the_factor(monkeypatch, keep):
+    """purity, entanglement_entropy and expectation of a factored state match the entries path and never
+    build its entries, whichever of V^dag V and V V^dag is the smaller."""
+    rng = np.random.default_rng(7)
+    rho = partial_trace(density_of(random_state(rng, SubsystemSplit((2, 3, 4)))), keep)
+    plain = DensityMatrix(rho.factor @ rho.factor.conj().T, rho.split)
+    obs = random_observable(rng, rho.split)
+    expected = (plain.purity(), entanglement_entropy(plain), expectation(obs, plain))
+
+    def refuse(a):
+        raise AssertionError("entries built for a factored read")
+    monkeypatch.setattr(hilbert, "hermiticity_drift", refuse)
+    got = (rho.purity(), entanglement_entropy(rho), expectation(obs, rho))
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
+
+
 @pytest.mark.parametrize("lo", [0.0, -1e-6])
 def test_construction_leaves_the_input_byte_identical(lo):
     a = state_with_min_eigenvalue(np.random.default_rng(4), 64, lo)

@@ -9,6 +9,7 @@ from decolab.localization import (
     gaussian_packet, pure_density, localization_step, kinetic_half_step,
     moments_of, coherence_length, evolve, OBSERVABLES, _record,
 )
+from decolab import localization
 from decolab.errors import InvariantError
 from oracles import moment_ode_oracle
 
@@ -65,6 +66,69 @@ def test_non_finite_grid_entries_are_rejected(value, where):
     rho[where] = value
     with pytest.raises(ValueError):
         GridDensityMatrix(GRID, rho, 1.0, 0.0)
+
+
+def _caller_encoding(psi):
+    """M of outer(psi, psi^*) as a caller's rho is encoded: (Re + Re^T)/2 + (Im - Im^T)/2."""
+    return GridDensityMatrix(GRID, np.outer(psi, psi.conj()), 1.0, 0.0).m
+
+
+def test_pure_state_builds_m_from_psi_without_reading_hermiticity(monkeypatch):
+    psi = gaussian_packet(GRID, 0.4, 0.5, momentum=1.7)
+    expected = _caller_encoding(psi)
+
+    def refuse(a):
+        raise AssertionError("hermiticity read for a pure state")
+    monkeypatch.setattr(localization, "hermiticity_drift", refuse)
+    s = pure_density(GRID, psi, 1.0, 0.0)
+    assert s.psi is not None and s._m is None  # checked from psi alone, M not yet built
+    assert np.max(np.abs(s.m - expected)) <= 1e-15
+    assert s.m is s.m
+    assert s.trace() == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("bad", ["nan", "inf", "norm", "shape"])
+def test_pure_state_rejects_a_bad_psi(bad):
+    psi = gaussian_packet(GRID, 0.0, 0.5)
+    if bad == "nan":
+        psi[5] = np.nan
+    elif bad == "inf":
+        psi[64] = np.inf
+    elif bad == "norm":
+        psi = psi * 1.001
+    else:
+        psi = psi[:-1]
+    with pytest.raises(ValueError):
+        pure_density(GRID, psi, 1.0, 0.0)
+
+
+def test_pure_state_comes_without_rho_or_m():
+    """Given psi beside a rho or an M, neither may silently win."""
+    psi = gaussian_packet(GRID, 0.0, 0.5)
+    rho = np.outer(psi, psi.conj())
+    with pytest.raises(ValueError, match="without rho or M"):
+        GridDensityMatrix(GRID, rho, 1.0, 0.0, psi=psi)
+    with pytest.raises(ValueError, match="without rho or M"):
+        GridDensityMatrix(GRID, None, 1.0, 0.0, encoded=rho.real, psi=psi)
+
+
+@pytest.mark.parametrize("mass", [0.7, math.inf])
+def test_pure_kinetic_half_step_matches_the_dense_kick_and_stays_pure(mass):
+    psi = gaussian_packet(GRID, -0.5, 0.4, momentum=2.5)
+    out = kinetic_half_step(pure_density(GRID, psi, mass, 0.3), 0.2)
+    dense = kinetic_half_step(GridDensityMatrix(GRID, np.outer(psi, psi.conj()), mass, 0.3), 0.2)
+    assert out.psi is not None and out.psi.shape == psi.shape
+    assert np.max(np.abs(out.m - dense.m)) <= 1e-13
+    assert out.trace() == pytest.approx(1.0, abs=1e-13)
+
+
+def test_localization_step_writes_into_out():
+    s = _gaussian_state(mass=math.inf, lam=2.0)
+    expected = localization_step(s, 0.125).m
+    m = s.m.copy()
+    out = localization_step(_gaussian_state(mass=math.inf, lam=2.0), 0.125, out=m)
+    assert out.m is m and np.array_equal(m, expected)
 
 
 def test_localization_step_is_exact_gaussian_damping():
