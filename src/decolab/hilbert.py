@@ -187,9 +187,7 @@ class DensityMatrix:
     def _gram(self) -> np.ndarray:
         """The entries, or of a factored rho = V V^dag the smaller of V^dag V and V V^dag: rho's nonzero spectrum."""
         v = self.factor
-        if v is None or (self._entries is not None and len(v) <= v.shape[1]):  # V V^dag, already built
-            return self.entries
-        return v.conj().T @ v if v.shape[1] < v.shape[0] else v @ v.conj().T
+        return self.entries if v is None else (v.conj().T @ v if v.shape[1] < len(v) else v @ v.conj().T)
 
     def purity(self) -> float:
         """tr rho^2 = sum |g_ij|^2 of the hermitian g = _gram()."""

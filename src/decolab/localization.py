@@ -79,7 +79,7 @@ class GridDensityMatrix:
     def __init__(self, grid: GridSpec, rho: np.ndarray | None, mass: float, lam: float, *,
                  encoded: np.ndarray | None = None, psi: np.ndarray | None = None):
         self.grid, self.mass, self.lam = grid, mass, lam
-        self._m, self.psi = encoded, None if psi is None else np.asarray(psi, dtype=complex)
+        self._m, self.psi = encoded, None if psi is None else np.array(psi, dtype=complex)  # a copy: the state owns psi
         self._rho = None if rho is None else np.asarray(rho, dtype=complex)
         self.__post_init__()
 
@@ -239,11 +239,14 @@ def _state(s: GridDensityMatrix, m: np.ndarray) -> GridDensityMatrix:
 
 
 def localization_step(s: GridDensityMatrix, dt: float, kernel: np.ndarray | None = None, *, out=None) -> GridDensityMatrix:
-    """Exact localization flow over dt, written into out if given (s.m allowed); `kernel` reuses a built one."""
+    """Exact localization flow over dt, written into out if given; `kernel` reuses a built one.
+    With out=s.m, s is changed in place too: it drops its psi and cached rho, and holds the new M."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
     if kernel is None:
         kernel = _localization_kernel(s.grid, s.lam, dt)
+    if out is s.m:
+        s.psi = s._rho = None
     return _state(s, np.multiply(s.m, kernel, out=out))
 
 

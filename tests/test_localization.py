@@ -131,6 +131,26 @@ def test_localization_step_writes_into_out():
     assert out.m is m and np.array_equal(m, expected)
 
 
+def test_localization_step_into_the_states_own_m_changes_that_state_too():
+    """out=s.m rewrites s: a pure s drops its psi and any cached rho, so every later read of s sees the new M."""
+    psi = gaussian_packet(GRID, 0.3, 0.4, momentum=1.5)
+    expected = localization_step(pure_density(GRID, psi, 1.0, 2.0), 0.125)
+    s = pure_density(GRID, psi, 1.0, 2.0)
+    assert s.rho is not None  # cache the rho of the pure state
+    out = localization_step(s, 0.125, out=s.m)
+    assert out.m is s.m and s.psi is None
+    assert np.array_equal(s.m, expected.m) and np.array_equal(s.rho, expected.rho)
+    assert s.trace() == expected.trace()
+    assert np.array_equal(kinetic_half_step(s, 0.2).m, kinetic_half_step(expected, 0.2).m)
+
+
+def test_a_pure_state_owns_a_copy_of_psi():
+    psi = gaussian_packet(GRID, 0.0, 0.5)
+    s = pure_density(GRID, psi, 1.0, 0.0)
+    psi[:] = np.nan
+    assert np.all(np.isfinite(s.psi)) and np.all(np.isfinite(s.m))
+
+
 def test_localization_step_is_exact_gaussian_damping():
     s = _gaussian_state(mass=math.inf, lam=2.0)
     dt = 0.125
