@@ -9,14 +9,17 @@ exactly hermitian, and holds half the memory of a complex rho.
 
 The localization part has an exact entrywise flow exp(-lam (x-x')^2 dt), a
 real symmetric positive-semidefinite kernel K, so it steps M -> M * K and
-keeps trace and positivity.  The kinetic part multiplies fft2(rho) by
+keeps trace and positivity.  K depends on x - x' only: it is a Toeplitz view
+of 2N - 1 values.  The kinetic part multiplies fft2(rho) by
 exp(i theta_pq), theta_pq = -(p^2 - q^2) tau/2m (periodic boundaries).  On
 M^ = fft2(M) it reads M^ -> cos(theta) M^ + sin(theta) M^T, because fft2(A)
 is symmetric and fft2(B) antisymmetric in (p, q) and theta_{-p,-q} = theta_pq.
 M is real, so only rfft2's half spectrum R is kept; the same half of M^T
-is R[:h+1, :h+1]^T over p <= N/2 and conj(R[-q mod N, N-p]) above it.
+is R[:h+1, :h+1]^T over p <= N/2 and conj(R[-q mod N, N-p]) above it.  The
+rotation carries the inverse transform's 1/N^2, so no pass rescales.
 Time stepping is Strang splitting with adjacent kinetic half-kicks merged
-into one full kick, in one loop for `evolve` and two-slit.
+into one full kick, in one loop for `evolve` and two-slit; the loop also
+makes the closing half-kick, in its own buffers.
 
 Validation: `GridDensityMatrix(grid, rho, mass, lam)` checks a caller's
 complex rho in full (shape, hermiticity within 1e-10, trace, NaN and inf)
@@ -231,7 +234,10 @@ def pure_density(grid: GridSpec, psi: np.ndarray, mass: float, lam: float) -> Gr
 
 
 def _localization_kernel(grid: GridSpec, lam: float, dt: float) -> np.ndarray:
-    return np.exp(-lam * dt * np.subtract.outer(grid.x, grid.x) ** 2)
+    """K_jk = exp(-lam dt (x_j - x_k)^2) as a read-only Toeplitz view of its 2N - 1 values, one per j - k."""
+    n = grid.n_points
+    v = np.exp(-lam * dt * (grid.dx * np.arange(1 - n, n)) ** 2)
+    return as_strided(v[n - 1:], (n, n), (-v.strides[0], v.strides[0]), writeable=False)
 
 
 def _state(s: GridDensityMatrix, m: np.ndarray) -> GridDensityMatrix:
@@ -251,10 +257,13 @@ def localization_step(s: GridDensityMatrix, dt: float, kernel: np.ndarray | None
 
 
 def _rotation(grid: GridSpec, mass: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """(cos theta, sin theta) over rfft2's half spectrum, theta_pq = -(p^2 - q^2) tau/2m."""
-    phase = np.exp(-1j * grid.p**2 / (2.0 * mass) * tau)
-    turn = np.outer(phase, phase[:grid.n_points // 2 + 1].conj())  # e^{i theta_pq}
-    return turn.real.copy(), turn.imag.copy()
+    """(cos theta, sin theta) / N^2 over rfft2's half spectrum, theta_pq = a_p - a_q with a = -p^2 tau/2m,
+    as two real products of [cos a, sin a]; irfft2's 1/N^2 rides on them, so `_kicked` runs it unscaled."""
+    n = grid.n_points
+    a = -grid.p**2 / (2.0 * mass) * tau
+    rows = np.stack((np.cos(a), np.sin(a)), axis=1)
+    cols = rows[:n // 2 + 1].T / n**2
+    return rows @ cols, rows @ np.stack((-cols[1], cols[0]))
 
 
 def _spectrum(m: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -278,8 +287,8 @@ def _kicked(r: np.ndarray, t: np.ndarray, rotation, out: np.ndarray, work=None) 
     k, u = (r, t) if work is None else work
     np.multiply(r, rotation[0], out=k)
     k += np.multiply(t, rotation[1], out=u)
-    np.fft.ifft(k, axis=0, out=k)  # irfft2, its first pass in place
-    return np.fft.irfft(k, len(out), axis=1, out=out)
+    np.fft.ifft(k, axis=0, norm="forward", out=k)  # irfft2 unscaled, its first pass in place
+    return np.fft.irfft(k, len(out), axis=1, norm="forward", out=out)
 
 
 def kinetic_half_step(s: GridDensityMatrix, dt: float) -> GridDensityMatrix:
@@ -298,12 +307,13 @@ def _march(s0: GridDensityMatrix, dt: float, n_steps: int, stride: int, record):
     """The grid's one step loop: n_steps Strang steps from s0, adjacent half-kicks merged.
 
     The opening half-kick's M, never s0's, is the one state buffer: each localization multiplies
-    it in place, validating the step once (K_ii = 1 keeps the kicked trace, and a NaN or inf
-    survives the multiply by K >= 0), and each full kick overwrites it from two spectrum buffers,
-    freed with the kernel before the closing half-kick.  At each step of record_steps(n_steps,
-    stride), record(step, s, spectrum) gets the state s at that step with spectrum None; at inner
-    steps of a finite mass it gets the state before its closing half-kick and spectrum =
-    _spectrum(s.m), kicked in place afterwards: views of the loop's buffers, valid during the call.
+    it in place by the Toeplitz kernel, validating the step once (K_ii = 1 keeps the kicked trace,
+    and a NaN or inf survives the multiply by K >= 0), and each kick overwrites it from two
+    spectrum buffers.  The last step kicks by half, in a half rotation built once the full one is
+    freed, and the closing state is validated.  At each step of record_steps(n_steps, stride),
+    record(step, s, spectrum) gets the state s at that step with spectrum None; at inner steps of
+    a finite mass it gets the state before its closing half-kick and spectrum = _spectrum(s.m),
+    kicked in place afterwards: views of the loop's buffers, valid during the call.
     """
     finite = math.isfinite(s0.mass)
     kernel = _localization_kernel(s0.grid, s0.lam, dt)
@@ -316,14 +326,16 @@ def _march(s0: GridDensityMatrix, dt: float, n_steps: int, stride: int, record):
     m = s.m
     for step in range(1, n_steps + 1):
         s = localization_step(s, dt, kernel, out=m)
-        spectrum = _spectrum(m, buffers) if finite and step < n_steps else None
+        if finite and step == n_steps:  # the closing half-kick
+            del kernel, rotation
+            rotation = _rotation(s0.grid, s0.mass, dt / 2.0)
+        spectrum = _spectrum(m, buffers) if finite else None
         if step in at:
             record(step, s, spectrum)
-        if spectrum is not None:
+        if finite:
             _kicked(*spectrum, rotation, out=m)
     if finite:
-        del kernel, rotation, buffers
-        s = kinetic_half_step(s, dt)
+        s = _state(s, m)
     record(n_steps, s, None)
     return s
 

@@ -45,10 +45,19 @@ class TwoSlitConfig(Declared):
 
 
 def _initial_state(cfg: TwoSlitConfig) -> tuple[GridDensityMatrix, int, int]:
+    """The two-packet state; PreconditionError when a packet reaches the grid edge at t = 0 or, by the
+    closed-form spread of a packet at rest, sigma^2 + t^2/(4 m^2 sigma^2) + 2 lam t^3/(3 m^2), at t_final."""
     grid = cfg.grid()
     x = grid.x
     i_right = int(np.argmin(np.abs(x - cfg.slit_separation / 2.0)))
     i_left = int(np.argmin(np.abs(x + cfg.slit_separation / 2.0)))
+    t, width = cfg.t_final, cfg.packet_width
+    var = width**2 + (t**2 / (4.0 * width**2) + 2.0 * cfg.lam * t**3 / 3.0) / cfg.mass**2
+    offsets = x[[0, -1], None] - x[[i_right, i_left]]  # from each edge point to each packet center
+    edge = np.max(np.exp(-offsets**2 / (2.0 * var)).sum(axis=1)) * grid.dx / (2.0 * math.sqrt(2.0 * math.pi * var))
+    if edge > 1e-8:
+        raise PreconditionError(f"packets spread to sigma_x = {math.sqrt(var):.3f} by t_final = {t:g} and reach the "
+                                f"grid edge at half_width = {grid.x_max:g} (density {edge:.2e})")
     psi = gaussian_packet(grid, x[i_right], cfg.packet_width) + gaussian_packet(grid, x[i_left], cfg.packet_width)
     psi /= np.linalg.norm(psi) * math.sqrt(grid.dx)
     edge = max(abs(psi[0]), abs(psi[-1])) ** 2 * grid.dx
@@ -60,14 +69,12 @@ def _initial_state(cfg: TwoSlitConfig) -> tuple[GridDensityMatrix, int, int]:
 def two_slit_run(cfg: TwoSlitConfig) -> tuple[ObservableTrace, GridDensityMatrix]:
     """Evolve the two-packet state, recording V(t) at the packet-center entry; also returns the final grid state.
 
-    rho_rl is psi_r psi_l^* at t = 0, then from M_rl and M_lr.  Inner records read them from the half
-    spectrum (R, T) before its closing half-kick, in O(N^2) with no inverse
-    transform: the kicked M_ab is Re(u_a^T (cos(theta) R + sin(theta) T) v_b) with
-    u_p = e^{ip(x_a - x_0)}, v_q = w_q e^{iq(x_b - x_0)} / N^2, and w_q = 2 for
-    the columns that stand for a conjugate pair (1 at q = 0 and q = N/2).  As
-    theta_pq = alpha_p - alpha_q, with c = cos(alpha) v_b and s = sin(alpha) v_b,
-    M_ab = Re((cos(alpha) u_a)^T (R c - T s) + (sin(alpha) u_a)^T (R s + T c)): R and T
-    each meet four columns once.  The trace is the diagonal sum, which the kick keeps.
+    rho_rl is psi_r psi_l^* at t = 0, then from M_rl and M_lr.  Inner records of a finite mass get M
+    before its closing half-kick U rho U^dag, where U = F^-1 e^{-i p^2 dt/4m} F is circulant: row a of U
+    is u_a[b] = c[(a - b) mod N] with c = ifft(e^{-i p^2 dt/4m}).  As rho = ((1 + i) M + (1 - i) M^T)/2,
+    the kicked rho_rl = u_r^T rho conj(u_l) = ((1 + i) u_r^T M conj(u_l) + (1 - i) conj(u_l)^T M u_r)/2,
+    from one real product of M with the four columns Re and Im of conj(u_l) and u_r.  The trace is the
+    diagonal sum, which the kick keeps.
     """
     n_steps = step_count(cfg.t_final, cfg.dt)
     s0, i_r, i_l = _initial_state(cfg)
@@ -77,15 +84,9 @@ def two_slit_run(cfg: TwoSlitConfig) -> tuple[ObservableTrace, GridDensityMatrix
     peaks, traces = [], []
     n = s0.grid.n_points
     if math.isfinite(cfg.mass):
-        k = np.arange(n)
-        q = k[:n // 2 + 1]
-        # e^{i p (x_i - x_0)} = e^{2 pi i k i / N}; the integer product mod N keeps the angle small
-        u = np.exp(2j * np.pi * (np.outer((i_r, i_l), k) % n) / n)  # rows a = r, l
-        v = u[::-1, :len(q)] * (np.where((q == 0) | (2 * q == n), 1.0, 2.0) / n**2)  # rows b = l, r
-        alpha = -s0.grid.p**2 * (cfg.dt / 2.0) / (2.0 * cfg.mass)  # the half-kick's phase
-        cos, sin = np.cos(alpha), np.sin(alpha)
-        w = np.concatenate((v * cos[:len(q)], v * sin[:len(q)])).T  # columns cos v_l, cos v_r, sin v_l, sin v_r
-        u_cos, u_sin = u * cos, u * sin
+        c = np.fft.ifft(np.exp(-1j * s0.grid.p**2 / (4.0 * cfg.mass) * cfg.dt))
+        u_r, u_l = c[np.subtract.outer((i_r, i_l), np.arange(n)) % n]
+        w = np.stack((u_l.real, -u_l.imag, u_r.real, u_r.imag), axis=1)
 
     def record(step: int, s: GridDensityMatrix, spectrum):
         if s.psi is not None:  # the pure initial state: rho_rl = psi_r psi_l^*
@@ -93,10 +94,9 @@ def two_slit_run(cfg: TwoSlitConfig) -> tuple[ObservableTrace, GridDensityMatrix
         elif spectrum is None:
             rho_rl = _decode(s.m[i_r, i_l], s.m[i_l, i_r])
         else:
-            rw, tw = spectrum[0] @ w, spectrum[1] @ w
-            m_rl, m_lr = (np.sum(u_cos * (rw[:, :2] - tw[:, 2:]).T, axis=1)
-                          + np.sum(u_sin * (rw[:, 2:] + tw[:, :2]).T, axis=1)).real
-            rho_rl = _decode(m_rl, m_lr)
+            y = s.m @ w  # M conj(u_l) and M u_r, as real and imaginary parts
+            rho_rl = ((1 + 1j) * (u_r @ (y[:, 0] + 1j * y[:, 1]))
+                      + (1 - 1j) * (u_l.conj() @ (y[:, 2] + 1j * y[:, 3]))) / 2
         peaks.append(abs(rho_rl))
         traces.append(s.trace())
 

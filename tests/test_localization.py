@@ -161,6 +161,28 @@ def test_localization_step_is_exact_gaussian_damping():
     assert out.trace() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n_points", [129, 512])
+def test_localization_kernel_is_a_read_only_toeplitz_view(n_points):
+    """The kernel is 2N - 1 values seen as N x N: exp(-lam dt (x_j - x_k)^2) within 1e-14 relative."""
+    grid = GridSpec(n_points, -4.0, 4.0)
+    kernel = localization._localization_kernel(grid, 1.3, 0.05)
+    x = grid.x
+    dense = np.exp(-1.3 * 0.05 * (x[:, None] - x[None, :]) ** 2)
+    assert kernel.shape == (n_points, n_points) and kernel.strides == (-8, 8)  # one value per j - k
+    np.testing.assert_allclose(kernel, dense, rtol=1e-14, atol=0)
+    assert not kernel.flags.writeable
+    with pytest.raises(ValueError):
+        kernel[0, 1] = 0.0
+
+
+def test_localization_step_with_and_without_a_built_kernel():
+    s = _gaussian_state(mass=math.inf, lam=2.0)
+    built = localization._localization_kernel(GRID, 2.0, 0.125)
+    assert np.array_equal(localization_step(s, 0.125).m, localization_step(s, 0.125, built).m)
+    dense = np.ascontiguousarray(built)
+    assert np.array_equal(localization_step(s, 0.125).m, localization_step(s, 0.125, dense).m)
+
+
 def test_kinetic_step_preserves_purity_and_moves_packet():
     p0 = 2.0
     s = _gaussian_state(mass=1.0, sigma=0.5, momentum=p0)

@@ -311,6 +311,9 @@ def test_cli_summarize_no_traces(capsys):
     ("[charge-shells]\noverlap = nan\n", 2, "out of bounds"),
     (f"[born-chain]\namplitude_seed = {2**128}\n", 2, "amplitude_seed must be below 2**128"),
     ("[decay-cavity]\ncoupling = 1e200\n", 3, "precondition failure"),  # the golden-rule rate overflows
+    # mass 1 spreads each packet to sigma_x ~ 1 by t_final on a +-2 box: refused before psi is built
+    ("[two-slit]\nmass = 1\nn_points = 256\nt_final = 0.1\ndt = 0.001\n", 3,
+     "packets spread to sigma_x = 1.002 by t_final = 0.1 and reach the grid edge at half_width = 2"),
     # |E| dt ~ 1e17: phases exp(-i (E_j - E_k) dt) lost unitarity to rounding (min eigenvalue -0.085, exit 4)
     ("[decay-monitored]\nn_modes = 8\nmode_spacing = 6.5e16\ncoupling = 1.6e16\nmonitor_rate = 1.6e16\n"
      "t_final = 2.00001\ndt = 2.00001\nrecord_stride = 2\n", 0, None),
