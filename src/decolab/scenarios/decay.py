@@ -6,13 +6,19 @@ until the finite mode spacing causes a coherent revival at 2*pi/spacing.
 Monitoring dephases the excited/decayed coherences each step, which
 suppresses the revival and leaves an almost exactly exponential decay.
 
-Runs work in the eigenbasis of H.  A monitored run steps the state in the
-rotating frame of H, where the unitary part of a step vanishes and the
-dephasing is a rank-two update.  The updates of a block of BLOCK steps are
-gathered and applied to the state together: one matrix product gives the
-block's mat-vecs, one more (the flush) applies its rank-two terms, which
-is the compact-WY form of blocked Householder updates (Schreiber & Van
-Loan 1989).
+Runs use the chiral symmetry of H: level 0 sits at the centre of a bath
+whose detunings are symmetric about it, and every mode couples with the
+same g, so S = (mirror of mode k onto mode n-1-k) x (-1 on level 0)
+anticommutes with H.  This holds because no field moves level 0 off the
+bath's centre; a level detuning would break it.  In S's eigenbasis
+{W-, W+}, H = [[0, B^T], [B, 0]] with the half-size block B = U sigma V^T,
+so H's eigenvalues are +-sigma (and one 0 for even n), and in the real
+basis {W- V, i W+ U} exp(iHt)|0> = (cos(sigma t) y, sin(sigma t) y) with
+y = V^T e0.  A monitored run holds the state in a rotating frame, where it
+is real and each step's dephasing is a rank-two update.  A block of BLOCK
+steps takes one product for its mat-vecs and one (the flush) for its
+rank-two terms: the compact-WY form of blocked Householder updates
+(Schreiber & Van Loan 1989).
 """
 from __future__ import annotations
 
@@ -52,13 +58,17 @@ def band_limited_rate(cfg: DecayConfig) -> float:
         cfg.n_modes * cfg.mode_spacing / (2.0 * cfg.monitor_rate))
 
 
-def _hamiltonian(cfg: DecayConfig) -> np.ndarray:
-    n = cfg.n_modes
-    h = np.zeros((n + 1, n + 1))
-    h[0, 1:] = cfg.coupling
-    h[1:, 0] = cfg.coupling
-    h[np.arange(1, n + 1), np.arange(1, n + 1)] = (np.arange(n) - (n - 1) / 2.0) * cfg.mode_spacing  # detunings
-    return h
+def _chiral_block(cfg: DecayConfig) -> np.ndarray:
+    """B: columns level 0 and the odd pairs (e_k - e_{n-1-k})/sqrt 2, k < n//2; rows the middle mode (odd n)
+    and the even pairs (e_k + e_{n-1-k})/sqrt 2 for k from n//2 - 1 down: each pair sits at its modes' sites."""
+    n, m = cfg.n_modes, cfg.n_modes // 2
+    b = np.zeros((n - m, m + 1))
+    k = np.arange(m)
+    b[n - m - 1 - k, 0] = math.sqrt(2.0) * cfg.coupling
+    b[n - m - 1 - k, 1 + k] = (k - (n - 1) / 2.0) * cfg.mode_spacing  # detunings of modes k < m
+    if n % 2:
+        b[0, 0] = cfg.coupling  # the middle mode, at zero detuning
+    return b
 
 
 def _check_span(cfg: DecayConfig):
@@ -72,73 +82,75 @@ def _check_span(cfg: DecayConfig):
 def decay_run(cfg: DecayConfig) -> tuple[ObservableTrace, np.ndarray | None]:
     """Survival probability P(t) of the excited level, and the final site-basis density matrix (monitored only).
 
-    Both paths work in the eigenbasis of H.  Unmonitored: the exact
-    amplitude sum_k |<0|k>|^2 exp(-i E_k t) at each record time.
-    Monitored: each step is the exact unitary followed by dephasing
-    exp(-monitor_rate*dt) of the excited/decayed coherences (populations
-    untouched).  The state is held in the rotating frame of H, where the
-    unitary part is absent and step k dephases along v_k = exp(i E k dt) w,
-    w = <0| in the eigenbasis: a rank-two update.  Steps run in blocks of
-    BLOCK: one product gives rho v_k for the whole block from the state at
-    its start, each step corrects its column by the block's earlier
-    rank-two terms, and a second product flushes those terms into the
-    state.  The final state is rotated back to the lab frame at t_final.
+    Both work from the SVD of H's chiral block (module docstring).  Unmonitored:
+    P(t) = (sum_k y_k^2 cos(sigma_k t))^2.  Monitored: each step is the exact
+    unitary followed by dephasing exp(-monitor_rate*dt) of the excited/decayed
+    coherences.  In the rotating frame that meets the lab frame at t_final,
+    step k dephases along the real v_k = exp(iH(k dt - t_final))|0>.  In a
+    block, one product gives rho v_k from the state at the block's start, each
+    step corrects its column by the block's earlier rank-two terms, and a
+    second product flushes those terms into the state.  At t_final V and U
+    take the state to S's eigenbasis, where its real part is block diagonal,
+    and each pair of modes unfolds to the site basis.
     """
     n_steps = step_count(cfg.t_final, cfg.dt)
     _check_span(cfg)
     steps = np.array(record_steps(n_steps, cfg.record_stride))
-    evals, vecs = np.linalg.eigh(_hamiltonian(cfg))
+    u, sigma, vt = np.linalg.svd(_chiral_block(cfg))
+    p, q = len(sigma), len(vt)  # ceil(n/2) pairs +-sigma, floor(n/2)+1 coordinates on S = -1
+    freqs = np.append(sigma, np.zeros(q - p))  # the zero mode of even n last
+    y = vt[:, 0]  # level 0 in the basis V
     times = steps * cfg.dt
     if not cfg.monitored:
-        weights = np.abs(vecs[0, :]) ** 2
-        amps = (weights[None, :] * np.exp(-1j * np.outer(times, evals))).sum(axis=1)
-        # scalar abs and ** keep the CSV bytes: numpy's array forms round some |a|^2 differently in the last bit
-        return ObservableTrace(times, {"survival": [abs(a) ** 2 for a in amps]}), None
-    # With P = v v^dag, damping the coherences by f is rho - (1-f)(P rho + rho P - 2 P rho P).
-    # For hermitian rho, with q = rho v and c = v^dag q, that is rho - (v a^dag + a v^dag)
-    # where a = (1-f)(q - c v), and c = <0|rho|0> is the survival, which the damping keeps.
-    # Within a block, rows 2j, 2j+1 of `left` hold v_j, a_j and of `right` conj(a_j), conj(v_j),
+        return ObservableTrace(times, {"survival": (np.cos(np.outer(times, freqs)) @ y**2) ** 2}), None
+    # v_k is (Re, Im[:p]) of exp(i sigma (k dt - t_final)) y: direct phases, not running products, which drift
+    within = np.exp(1j * np.outer(np.arange(1, BLOCK + 1) * cfg.dt, freqs)) * y  # a block's steps after its start
+    # With P = v v^T, damping the coherences by f is rho - (1-f)(P rho + rho P - 2 P rho P).
+    # For symmetric rho, with r = rho v and c = v^T r, that is rho - (v a^T + a v^T)
+    # where a = (1-f)(r - c v), and c = <0|rho|0> is the survival, which the damping keeps.
+    # Within a block, rows 2j, 2j+1 of `left` hold v_j, a_j and of `right` a_j, v_j,
     # so that the block's updates so far are left[:2j].T @ right[:2j].
-    w = vecs[0, :].conj().astype(complex)
     loss = 1.0 - math.exp(-cfg.monitor_rate * cfg.dt)
-    left = np.empty((2 * BLOCK, len(w)), dtype=complex)
+    left = np.empty((2 * BLOCK, p + q))
     right = np.empty_like(left)
-    rho = np.outer(w, w.conj())
-    survival = np.empty(len(steps))
+    z0 = np.exp(-1j * (n_steps * cfg.dt) * freqs) * y
+    v0 = np.append(z0.real, z0.imag[:p])
+    rho = np.outer(v0, v0)
+    survival = np.empty(n_steps + 1)  # at every step; the records are read from it
     survival[0] = 1.0
-    block_survival = np.empty(BLOCK)
-    # v_{start+j} = exp(i E j dt) w * exp(i E start dt): direct phases, not running products u^k, which drift
-    within = np.exp(1j * np.outer(np.arange(1, BLOCK + 1) * cfg.dt, evals)) * w
-    filled = 1  # records written so far
     for start in range(0, n_steps, BLOCK):
         b = min(BLOCK, n_steps - start)
-        v = within[:b] * np.exp(1j * (start * cfg.dt) * evals)
-        left[0:2 * b:2] = v
-        right[1:2 * b:2] = v.conj()
-        q = v @ rho.T  # row j is rho v_j at the block's start
+        z = within[:b] * np.exp(1j * ((start - n_steps) * cfg.dt) * freqs)
+        v = left[0:2 * b:2]
+        v[:, :q], v[:, q:] = z.real, z.imag[:, :p]
+        right[1:2 * b:2] = v
+        rv = v @ rho.T  # row j is rho v_j at the block's start
         for j in range(b):
-            vj, a = v[j], q[j]
+            vj, a = v[j], rv[j]
             if j:
                 a -= left[:2 * j].T @ (right[:2 * j] @ vj)  # now rho v_j after the block's earlier steps
-            c = np.vdot(vj, a)
-            block_survival[j] = c.real
+            c = vj @ a
+            survival[start + 1 + j] = c
             a -= c * vj
             a *= loss
             left[2 * j + 1] = a
-            np.conjugate(a, out=right[2 * j])
+            right[2 * j] = a
         rho -= left[:2 * b].T @ right[:2 * b]
-        done = int(np.searchsorted(steps, start + b, side="right"))  # records up to the block's last step
-        survival[filled:done] = block_survival[steps[filled:done] - start - 1]
-        filled = done
-    u = np.exp(-1j * evals * (n_steps * cfg.dt))
-    phase = np.outer(u, u.conj())  # not exp(-i (E_j - E_k) t): for large |E| t its rounding breaks unitarity
-    np.fill_diagonal(phase, 1.0)  # |u_j|^2 = 1 exactly, so rounding does not drift the trace
-    rho *= phase
-    rho.real = vecs @ rho.real @ vecs.T  # vecs is real: real products, not complex ones
-    rho.imag = vecs @ rho.imag @ vecs.T
-    rho += rho.conj().T
-    rho *= 0.5
-    return ObservableTrace(times, {"survival": survival}), rho
+    del left, right, v, rv
+    # rho = [[X, Y], [Y^T, Z]]: real part diag(V X V^T, U Z U^T), imaginary part K = U Y^T V^T below it
+    out = np.zeros((p + q, p + q), dtype=complex)
+    out.real[:q, :q] = vt.T @ rho[:q, :q] @ vt
+    out.real[q:, q:] = u @ rho[q:, q:] @ u.T
+    out.imag[q:, :q] = u @ rho[:q, q:].T @ vt
+    del rho
+    n, m = cfg.n_modes, cfg.n_modes // 2
+    for side in (out, out.T):  # rows, then columns: each pair's two combinations unfold to modes k and n-1-k
+        odd, even = side[1:m + 1], side[n:n - m:-1]  # at sites 1 + k and n - k
+        odd[...], even[...] = (odd + even) * math.sqrt(0.5), (even - odd) * math.sqrt(0.5)
+    out.real += out.real.T  # exactly hermitian, through transposed copies of one part at a time
+    out.real *= 0.5
+    out.imag -= out.imag.T  # adds the block -K^T above the diagonal
+    return ObservableTrace(times, {"survival": survival[steps]}), out
 
 
 def revival_time(cfg: DecayConfig) -> float:

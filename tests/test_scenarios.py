@@ -15,7 +15,7 @@ from decolab.localization import ObservableTrace, fit_exponent, record_steps
 from decolab.runner import write_trace_csv
 from decolab.scenarios import registry
 from decolab.scenarios.twoslit import _initial_state
-from decolab.scenarios.decay import BLOCK
+from decolab.scenarios.decay import BLOCK, _chiral_block
 from decolab.scenarios import (
     TwoSlitConfig, two_slit_run,
     ChiralConfig, chiral_run, classify_regime,
@@ -337,17 +337,23 @@ def test_survival_peak_lookup():
     assert 0.0 < peak_p <= 1.0
 
 
-def _site_basis_monitored_decay(cfg: DecayConfig):
-    """Reference: U rho U^dag with U = expm(-i H dt), then damp row and column 0, step by step.
-
-    Builds H from the model's definition; returns record times, survival and
-    the final state, recording at the stride multiples and the last step.
-    """
+def _site_hamiltonian(cfg: DecayConfig) -> np.ndarray:
+    """H from the model's definition: level 0 at zero energy, coupled with g to modes at (k - (n-1)/2) spacing."""
     n = cfg.n_modes
     h = np.zeros((n + 1, n + 1))
     h[0, 1:] = h[1:, 0] = cfg.coupling
     h[range(1, n + 1), range(1, n + 1)] = (np.arange(n) - (n - 1) / 2.0) * cfg.mode_spacing
-    u = expm(-1j * h * cfg.dt)
+    return h
+
+
+def _site_basis_monitored_decay(cfg: DecayConfig):
+    """Reference: U rho U^dag with U = expm(-i H dt), then damp row and column 0, step by step.
+
+    Returns record times, survival and the final state, recording at the
+    stride multiples and the last step.
+    """
+    n = cfg.n_modes
+    u = expm(-1j * _site_hamiltonian(cfg) * cfg.dt)
     f = math.exp(-cfg.monitor_rate * cfg.dt)
     rho = np.zeros((n + 1, n + 1), dtype=complex)
     rho[0, 0] = 1.0
@@ -363,7 +369,35 @@ def _site_basis_monitored_decay(cfg: DecayConfig):
     return np.array(times), np.array(survival), rho
 
 
-@pytest.mark.parametrize("n_modes, stride", [(21, 10), (41, 7)])
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 20, 21, 160, 161, 401])
+def test_chiral_block_gives_the_spectrum_of_h(n_modes):
+    """H's eigenvalues are B's singular values +-sigma, and one 0 for even n (a column of B more than rows)."""
+    cfg = DecayConfig(n_modes=n_modes, mode_spacing=0.5, coupling=0.3)
+    b = _chiral_block(cfg)
+    assert b.shape == ((n_modes + 1) // 2, n_modes // 2 + 1)
+    sigma = np.linalg.svd(b, compute_uv=False)
+    spectrum = np.sort(np.concatenate([-sigma, sigma, np.zeros(b.shape[1] - b.shape[0])]))
+    ref = np.linalg.eigh(_site_hamiltonian(cfg))[0]
+    assert np.max(np.abs(spectrum - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_modes", [21, 20])
+def test_unmonitored_decay_matches_expm(n_modes):
+    """Survival |<0| expm(-i H dt)^k |0>|^2, stepped in the site basis, at the stride multiples and the last step."""
+    cfg = DecayConfig(n_modes=n_modes, mode_spacing=1.0, coupling=0.5, t_final=3.0, dt=0.01, record_stride=7)
+    t, rec = decay_run(cfg)[0].as_arrays()
+    u = expm(-1j * _site_hamiltonian(cfg) * cfg.dt)
+    psi = np.eye(n_modes + 1, 1, dtype=complex)[:, 0]
+    ref = [1.0]
+    for step in range(1, 301):
+        psi = u @ psi
+        if step % 7 == 0 or step == 300:
+            ref.append(abs(psi[0]) ** 2)
+    assert np.array_equal(t, np.array([*range(0, 300, 7), 300]) * 0.01)
+    assert np.max(np.abs(rec["survival"] - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("n_modes, stride", [(21, 10), (41, 7), (20, 10)])
 def test_monitored_decay_matches_site_basis_loop(n_modes, stride):
     cfg = DecayConfig(n_modes=n_modes, mode_spacing=1.0, coupling=0.5, monitored=True,
                       monitor_rate=20.0, t_final=3.0, dt=0.01, record_stride=stride)
@@ -379,11 +413,12 @@ def test_monitored_decay_matches_site_basis_loop(n_modes, stride):
 
 
 @pytest.mark.parametrize("n_modes, n_steps", [
-    (21, BLOCK - 1), (21, BLOCK), (21, BLOCK + 1), (21, 2 * BLOCK + 3), (1, 2 * BLOCK + 3),
+    (21, BLOCK - 1), (21, BLOCK), (21, BLOCK + 1), (21, 2 * BLOCK + 3), (1, 2 * BLOCK + 3), (2, 2 * BLOCK + 3),
 ])
 def test_monitored_decay_block_edges(n_modes, n_steps):
     """Runs that end before, at and just after a block's end, with records (stride 7) inside blocks."""
-    cfg = DecayConfig(n_modes=n_modes, mode_spacing=1.0, coupling=0.5, monitored=True,
+    coupling = 0.25 if n_modes == 2 else 0.5  # two modes span 2, and the span must cover 4 * 2 pi g^2 / spacing
+    cfg = DecayConfig(n_modes=n_modes, mode_spacing=1.0, coupling=coupling, monitored=True,
                       monitor_rate=20.0, t_final=n_steps * 0.01, dt=0.01, record_stride=7)
     trace, rho = decay_run(cfg)
     t, rec = trace.as_arrays()
