@@ -7,22 +7,25 @@ are <= 2**12.
 
 Validation.  A StateVector must have the split's length and unit norm
 (`check_unit`, NORM_TOL), as must the amplitude and pointer vectors of the
-scenario models.  A DensityMatrix must be square over the split, hermitian
-(max |rho - rho^dag| <= HERM_TOL), of unit trace (NORM_TOL) and have no
-eigenvalue below EIG_FLOOR; an Observable must be square and hermitian;
-`check_gram` asks a Gram matrix for a unit diagonal, hermiticity and the
-same positivity.  Every test is written so that a NaN fails it, so
-non-finite entries are rejected.  The cost is O(n^2) reads
-(`hermiticity_drift`, row blocks, no n x n temporary) plus one Cholesky
-factorization in `min_eigenvalue_if_uncertified`, the positivity routine of
-`check_positive` and of every run's final `audit`; eigvalsh runs only where
-it fails.  A DensityMatrix built from an n x r factor V, rho = V V^dag (as
-`density_of` and `partial_trace` of such a state build it), is positive by
-construction and pays for no Cholesky: with tr rho = |V|_F^2 = 1 the
-rounding of V V^dag moves no eigenvalue below about -r*1.1e-16 for r columns,
-far above EIG_FLOOR.  It is checked in O(n r) from V's shape and trace; its
-purity, entropy and expectations read V, and its entries are built on first
-read, and only then read for hermiticity, as fl(V V^dag) need not be hermitian.
+scenario models.  A DensityMatrix must be square over the split, hermitian (max
+|rho - rho^dag| <= HERM_TOL), of unit trace (NORM_TOL) and have no eigenvalue
+below EIG_FLOOR; an Observable must be square and hermitian; `check_gram` asks
+a Gram matrix for a unit diagonal, hermiticity and the same positivity.  Every
+test is written so that a NaN fails it, so non-finite entries are rejected.
+The cost is O(n^2) reads (`hermiticity_drift`, row blocks, no n x n temporary)
+plus one Cholesky factorization in `min_eigenvalue_if_uncertified`, the
+positivity routine of `check_positive` and of every run's final `audit`, of the
+rows it cannot drop: rows with |a_ii| weight <= |EIG_FLOOR|/4 whose summed mass
+|a_i,:|^2 + |a_:,i|^2 stays within (|EIG_FLOOR|/4 / weight)^2 move no
+eigenvalue by more than |EIG_FLOOR|/4 (Weyl), so the kept block, shifted by
+EIG_FLOOR/2, proves 3/4 EIG_FLOOR.  eigvalsh runs only where it fails.  A
+DensityMatrix built from an n x r factor V, rho = V V^dag (as `density_of` and
+`partial_trace` of such a state build it), is positive by construction and pays
+for no Cholesky: with tr rho = |V|_F^2 = 1 the rounding of V V^dag moves no
+eigenvalue below about -r*1.1e-16 for r columns, far above EIG_FLOOR.  It is
+checked in O(n r) from V's shape and trace; its purity, entropy and
+expectations read V, and its entries are built on first read, and only then
+read for hermiticity, as fl(V V^dag) need not be hermitian.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ NORM_TOL = 1e-12
 HERM_TOL = 1e-12
 EIG_FLOOR = -1e-10
 DEGENERACY_TOL = 1e-8
-HERM_BLOCK = 64  # rows per block read by hermiticity_drift
+HERM_BLOCK = 64  # rows per block read by hermiticity_drift and by the certificate's masses
 
 
 def hermiticity_drift(a: np.ndarray) -> float:
@@ -62,18 +65,30 @@ def min_eigenvalue_if_uncertified(a: np.ndarray, weight: float = 1.0) -> float |
     """None if a Cholesky factorization certifies that the hermitian a * weight has no eigenvalue
     below EIG_FLOOR, else eigvalsh's smallest eigenvalue of a * weight.
 
-    Factoring a - (EIG_FLOOR/2)/weight I certifies a margin of half the floor,
-    far beyond its backward error of order n eps |a * weight|.  The diagonal
-    is shifted in place and restored exactly; a read-only a is copied.
+    Rows i with |a_ii| weight <= |EIG_FLOOR|/4 are candidates; sorted by their exact mass |a_i,:|^2 +
+    |a_:,i|^2 (read HERM_BLOCK rows at a time), the longest run whose summed mass stays within
+    (|EIG_FLOOR|/4 / weight)^2 is dropped, never a NaN or inf one.  With E their part of a * weight,
+    |E|_2 <= |E|_F <= |EIG_FLOOR|/4 (Weyl), so factoring the kept block a_SS - (EIG_FLOOR/2)/weight I, a
+    fresh copy, proves lambda_min(a * weight) >= 3/4 EIG_FLOOR, far beyond its backward error of order
+    n eps |a * weight|; by Cauchy interlacing it holds wherever all of a would.  With nothing dropped,
+    a's diagonal is shifted in place and restored exactly (a read-only a is copied).
     """
-    if not a.flags.writeable:
-        a = a.copy()
-    diagonal = np.einsum("ii->i", a)  # a writable view
+    budget = -EIG_FLOOR / 4.0 / weight
+    cand = (np.abs(np.diagonal(a)) <= budget).nonzero()[0]
+    keep = np.ones(len(a), bool)
+    if len(cand):
+        mass = np.concatenate([np.vecdot(r := a[b], r).real + np.vecdot(c := np.take(a, b, 1), c, axis=0).real
+                               for b in np.split(cand, range(HERM_BLOCK, len(cand), HERM_BLOCK))])
+        order = np.argsort(mass)
+        keep[cand[order[:np.count_nonzero(np.cumsum(mass[order]) <= budget**2)]]] = False
+    square = a if (not len(cand) or keep.all()) and a.flags.writeable else a[np.ix_(keep, keep)]
+    del cand, keep  # beside a, only the factor's buffers from here
+    diagonal = np.einsum("ii->i", square)  # a writable view
     saved = diagonal.copy()
     diagonal -= EIG_FLOOR / 2.0 / weight
     try:
-        np.linalg.cholesky(a)
-        return None
+        if np.isfinite(np.linalg.cholesky(square).trace()):  # a NaN or inf may factor, to a NaN, without error
+            return None
     except np.linalg.LinAlgError:
         pass
     finally:

@@ -14,9 +14,9 @@ of 2N - 1 values.  The kinetic part multiplies fft2(rho) by
 exp(i theta_pq), theta_pq = -(p^2 - q^2) tau/2m (periodic boundaries).  On
 M^ = fft2(M) it reads M^ -> cos(theta) M^ + sin(theta) M^T, because fft2(A)
 is symmetric and fft2(B) antisymmetric in (p, q) and theta_{-p,-q} = theta_pq.
-M is real, so only rfft2's half spectrum R is kept; the same half of M^T
-is R[:h+1, :h+1]^T over p <= N/2 and conj(R[-q mod N, N-p]) above it.  The
-rotation carries the inverse transform's 1/N^2, so no pass rescales.
+M is real, so only rfft2's half spectrum R is kept; the kick reads the same half
+of M^T from R, R[:h+1, :h+1]^T over p <= N/2 and conj(R[-q mod N, N-p]) above
+it, with no copy.  The rotation carries irfft2's 1/N^2, so no pass rescales.
 Time stepping is Strang splitting with adjacent kinetic half-kicks merged
 into one full kick, in one loop for `evolve` and two-slit; the loop also
 makes the closing half-kick, in its own buffers.
@@ -266,27 +266,19 @@ def _rotation(grid: GridSpec, mass: float, tau: float) -> tuple[np.ndarray, np.n
     return rows @ cols, rows @ np.stack((-cols[1], cols[0]))
 
 
-def _spectrum(m: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """R = rfft2(M) and T, the same half (N x (N//2 + 1)) of fft2(M)^T, written into out if given.
-
-    Row p of T is column p of fft2(M): R[:h+1, :h+1]^T for p <= h = N//2, and
-    above it, by the conjugate symmetry of a real M's spectrum, conj(R[-q mod N, N-p]).
-    """
-    n = m.shape[0]
-    h = n // 2
-    r, t = out if out is not None else (np.empty((n, h + 1), complex), np.empty((n, h + 1), complex))
-    np.fft.rfft2(m, out=r)
-    t[:h + 1] = r[:h + 1, :h + 1].T
-    np.conjugate(r[0, n - h - 1:0:-1], out=t[h + 1:, 0])  # q = 0
-    np.conjugate(r[:n - h - 1:-1, n - h - 1:0:-1].T, out=t[h + 1:, 1:])  # rows N-q for q = 1..h
-    return r, t
-
-
-def _kicked(r: np.ndarray, t: np.ndarray, rotation, out: np.ndarray, work=None) -> np.ndarray:
-    """M after the kick of `rotation` from (r, t) = _spectrum(M), into out; kicked in r and t, or in work (two arrays)."""
-    k, u = (r, t) if work is None else work
+def _kicked(r: np.ndarray, rotation, out: np.ndarray, work=None) -> np.ndarray:
+    """M after the kick of `rotation` from R = rfft2(M), into out; R is kicked in place, or into k of work (k, u).
+    u takes sin theta times T, the same half of fft2(M)^T, read from R: row p of T is column p of fft2(M),
+    R[:h+1, :h+1]^T for p <= h = N//2 and, by the conjugate symmetry of a real M's spectrum,
+    conj(R[-q mod N, N-p]) above it, conjugated after the product, as sin theta is real."""
+    n, h, sin = len(r), len(r) // 2, rotation[1]
+    k, u = (r, np.empty_like(r)) if work is None else work
+    np.multiply(r[:h + 1, :h + 1].T, sin[:h + 1], out=u[:h + 1])
+    np.multiply(r[0, n - h - 1:0:-1], sin[h + 1:, 0], out=u[h + 1:, 0])  # q = 0
+    np.multiply(r[:n - h - 1:-1, n - h - 1:0:-1].T, sin[h + 1:, 1:], out=u[h + 1:, 1:])  # rows N-q for q = 1..h
+    np.conjugate(u[h + 1:], out=u[h + 1:])
     np.multiply(r, rotation[0], out=k)
-    k += np.multiply(t, rotation[1], out=u)
+    k += u
     np.fft.ifft(k, axis=0, norm="forward", out=k)  # irfft2 unscaled, its first pass in place
     return np.fft.irfft(k, len(out), axis=1, norm="forward", out=out)
 
@@ -300,7 +292,7 @@ def kinetic_half_step(s: GridDensityMatrix, dt: float) -> GridDensityMatrix:
         return GridDensityMatrix(s.grid, None, s.mass, s.lam, psi=psi)
     if not finite:
         return _state(s, s.m.copy())
-    return _state(s, _kicked(*_spectrum(s.m), _rotation(s.grid, s.mass, dt / 2.0), np.empty_like(s.m)))
+    return _state(s, _kicked(np.fft.rfft2(s.m), _rotation(s.grid, s.mass, dt / 2.0), np.empty_like(s.m)))
 
 
 def _march(s0: GridDensityMatrix, dt: float, n_steps: int, stride: int, record):
@@ -308,18 +300,19 @@ def _march(s0: GridDensityMatrix, dt: float, n_steps: int, stride: int, record):
 
     The opening half-kick's M, never s0's, is the one state buffer: each localization multiplies
     it in place by the Toeplitz kernel, validating the step once (K_ii = 1 keeps the kicked trace,
-    and a NaN or inf survives the multiply by K >= 0), and each kick overwrites it from two
-    spectrum buffers.  The last step kicks by half, in a half rotation built once the full one is
-    freed, and the closing state is validated.  At each step of record_steps(n_steps, stride),
-    record(step, s, spectrum) gets the state s at that step with spectrum None; at inner steps of
-    a finite mass it gets the state before its closing half-kick and spectrum = _spectrum(s.m),
-    kicked in place afterwards: views of the loop's buffers, valid during the call.
+    and a NaN or inf survives the multiply by K >= 0), and each kick overwrites it from its
+    spectrum R = rfft2(M), kicked in place beside one work buffer.  The last step kicks by half, in
+    a half rotation built once the full one is freed, and the closing state is validated.  At each
+    step of record_steps(n_steps, stride), record(step, s, spectrum) gets the state s at that step
+    with spectrum None; at inner steps of a finite mass it gets the state before its closing
+    half-kick and spectrum = rfft2(s.m), kicked in place afterwards: a view of the loop's buffer,
+    valid during the call.
     """
     finite = math.isfinite(s0.mass)
     kernel = _localization_kernel(s0.grid, s0.lam, dt)
     if finite:
         rotation = _rotation(s0.grid, s0.mass, dt)
-        buffers = (np.empty_like(rotation[0], complex), np.empty_like(rotation[0], complex))
+        buffers = np.empty((2, *rotation[0].shape), complex)  # R = rfft2(M) and the kick's sine product
     at = set(record_steps(n_steps, stride)[1:-1])
     record(0, s0, None)
     s = kinetic_half_step(s0, dt)  # for mass = inf a copy: the loop's own M
@@ -329,11 +322,11 @@ def _march(s0: GridDensityMatrix, dt: float, n_steps: int, stride: int, record):
         if finite and step == n_steps:  # the closing half-kick
             del kernel, rotation
             rotation = _rotation(s0.grid, s0.mass, dt / 2.0)
-        spectrum = _spectrum(m, buffers) if finite else None
+        spectrum = np.fft.rfft2(m, out=buffers[0]) if finite else None
         if step in at:
             record(step, s, spectrum)
         if finite:
-            _kicked(*spectrum, rotation, out=m)
+            _kicked(spectrum, rotation, out=m, work=buffers)
     if finite:
         s = _state(s, m)
     record(n_steps, s, None)
@@ -439,8 +432,9 @@ def evolve(s0: GridDensityMatrix, t_final: float, dt: float,
     def record(step, s, spectrum):
         nonlocal kick
         if spectrum is not None:  # an inner state's closing half-kick, in a rotation and buffers made once
-            kick = kick or (_rotation(s.grid, s.mass, dt / 2.0), np.empty_like(s.m), *map(np.empty_like, spectrum))
-            s = _state(s, _kicked(*spectrum, kick[0], out=kick[1], work=kick[2:]))
+            kick = kick or (_rotation(s.grid, s.mass, dt / 2.0), np.empty_like(s.m),
+                            np.empty((2, *spectrum.shape), complex))
+            s = _state(s, _kicked(spectrum, kick[0], out=kick[1], work=kick[2]))
         rows.append(_record(s, recorder))
 
     final = _march(s0, dt, n_steps, record_stride, record)

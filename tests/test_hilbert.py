@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from decolab import hilbert
 from decolab.hilbert import (
@@ -106,22 +106,116 @@ def test_positivity_decision_matches_eigvalsh_rule(n, lo):
         DensityMatrix(a, SubsystemSplit((n,)))
 
 
-def test_rank_deficient_states_are_certified_without_eigvalsh(monkeypatch):
+@pytest.fixture(scope="module")
+def headline_state():
+    """The grid benchmark's headline geometry: N = 512, 12 localization and kinetic steps from a pure state."""
+    return two_slit_run(TwoSlitConfig(n_points=512, mass=10.0, slit_separation=2.0, packet_width=0.15,
+                                      lam=1.0, t_final=0.12))[1]
+
+
+def test_rank_deficient_states_are_certified_without_eigvalsh(monkeypatch, headline_state):
+    """Grid states are certified on their support alone, fewer than N rows; a full-support state is factored
+    whole, in place, with no copy of its entries."""
     grid = GridSpec(512, -4.0, 4.0)
     psi = gaussian_packet(grid, -1.0, 0.15) + gaussian_packet(grid, 1.0, 0.15)
     pure_grid = pure_density(grid, psi / np.sqrt(2.0), 10.0, 1.0)  # rank one; the packets barely overlap
-    # the grid benchmark's headline geometry: N = 512, 12 localization and kinetic steps from a pure state
-    _, evolved = two_slit_run(TwoSlitConfig(n_points=512, mass=10.0, slit_separation=2.0, packet_width=0.15,
-                                            lam=1.0, t_final=0.12))
     split = SubsystemSplit((2,) * 9)
     pure = density_of(random_state(np.random.default_rng(3), split))
     def refuse(*args, **kwargs):
         raise AssertionError("eigvalsh called where the certificate should hold")
+    factored, cholesky = [], np.linalg.cholesky
     monkeypatch.setattr(hilbert.np.linalg, "eigvalsh", refuse)
-    for got in (pure_grid.audit(), evolved.audit(), audit(pure.entries)):
+    monkeypatch.setattr(hilbert.np.linalg, "cholesky", lambda x: factored.append(x) or cholesky(x))
+    for got in (pure_grid.audit(), headline_state.audit(), audit(pure.entries)):
         assert got["min_eigenvalue"] is None
         assert got["min_eigenvalue_bound"] == EIG_FLOOR
+    assert [len(x) < 512 for x in factored] == [True, True, False]
+    assert factored[2] is pure.entries
     DensityMatrix(pure.entries, split)  # the constructor's check takes the same certificate
+
+
+def _state_with_tail(seed, n_kept, coupling, diagonal, lo, planted_in_tail, weight):
+    """a / weight for a hermitian a: a kept block, a unit-trace state whose smallest eigenvalue is lo (0 if the
+    eigenvalue is planted in the tail), and a tail row per coupling exponent e, coupled to the block's lowest
+    eigenvector by 10^e, with diagonal +-10^d for its diagonal exponent d and tail-tail entries of 10^e;
+    in the tail, lo sits on the two first rows as the pair [[0, -lo], [-lo, 0]].  Rows in random order."""
+    rng = np.random.default_rng(seed)
+    block = state_with_min_eigenvalue(rng, n_kept, 0.0 if planted_in_tail else lo)
+    lowest = np.linalg.eigh(block)[1][:, 0]
+    s = 10.0 ** np.array(coupling)
+    n_tail = len(s)
+    g = rng.normal(size=(n_tail, n_tail)) + 1j * rng.normal(size=(n_tail, n_tail))
+    tail = np.sqrt(np.outer(s, s)) * (g + g.conj().T) / 4.0
+    tail[np.diag_indices(n_tail)] = rng.choice([-1.0, 1.0], n_tail) * 10.0 ** np.array(diagonal)
+    if planted_in_tail and n_tail > 1:
+        tail[0, 1] -= lo
+        tail[1, 0] -= lo
+    phases = np.exp(2j * np.pi * rng.uniform(size=n_tail))
+    a = np.block([[block, np.outer(lowest, (s * phases).conj())], [np.outer(s * phases, lowest.conj()), tail]])
+    order = rng.permutation(len(a))
+    return a[np.ix_(order, order)] / weight
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_kept=st.integers(2, 8),
+       tail=st.lists(st.tuples(st.floats(-15.0, -10.0), st.floats(-15.0, -10.0)), min_size=1, max_size=8),
+       lo=st.sampled_from([0.0, -2e-11, -6e-11, -2e-10]), planted_in_tail=st.booleans(),
+       weight=st.sampled_from([1.0, 0.01]))
+@example(seed=1, n_kept=4, tail=[(-10.0, -10.0)], lo=-2e-11, planted_in_tail=False, weight=1.0)
+@example(seed=2, n_kept=4, tail=[(-10.0, -15.0)], lo=-2e-11, planted_in_tail=False, weight=0.01)
+def test_certificate_on_the_kept_rows_is_sound(seed, n_kept, tail, lo, planted_in_tail, weight):
+    """Tail rows of masses 1e-30 to 1e-20 around a kept block, a negative eigenvalue planted in either: the
+    certificate holds only where eigvalsh finds nothing below EIG_FLOOR, always holds above EIG_FLOOR/4 (the
+    block's shift, EIG_FLOOR/2, clears it), and otherwise the audit reports eigvalsh's eigenvalue; the input
+    is left byte-identical."""
+    coupling, diagonal = zip(*tail)
+    a = _state_with_tail(seed, n_kept, coupling, diagonal, lo, planted_in_tail, weight)
+    before = a.tobytes()
+    got = audit(a, weight, hermitian=True)
+    assert a.tobytes() == before
+    lowest = np.linalg.eigvalsh(a)[0] * weight
+    if got["min_eigenvalue"] is None:
+        assert lowest >= EIG_FLOOR
+    else:
+        assert got["min_eigenvalue"] == pytest.approx(lowest, rel=1e-9)
+    if lowest >= EIG_FLOOR / 4.0:
+        assert got["min_eigenvalue"] is None
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entry_in_a_trimmable_row_fails(bad):
+    """Rows 32-63 are empty and would be trimmed; a NaN or inf coupling one of them to the state is kept, and
+    neither the constructor nor the audit certifies the matrix."""
+    a = np.zeros((64, 64), complex)
+    a[:32, :32] = state_with_min_eigenvalue(np.random.default_rng(12), 32, 0.0)
+    assert audit(a)["min_eigenvalue"] is None
+    a[40, 3] = a[3, 40] = bad
+    with pytest.raises(ValueError):
+        DensityMatrix(a, SubsystemSplit((64,)))
+    try:
+        lo = audit(a, hermitian=True)["min_eigenvalue"]
+    except np.linalg.LinAlgError:  # eigvalsh of a matrix with a NaN or inf
+        lo = float("nan")
+    assert lo is not None and not lo >= EIG_FLOOR
+
+
+def test_certificate_peaks_at_or_below_a_whole_factorization(headline_state):
+    """tracemalloc peaks stay at or below those of factoring the whole matrix: 8,398,040 B for the headline grid
+    audit (the decoded rho and the factor), 16,794,744 B for a full-support audit at n = 1024 (the factor
+    beside the given a), both rounded up to 0.1 MB.  The grid's tail rows are never copied; a full-support
+    a is shifted in place, not copied."""
+    a = state_with_min_eigenvalue(np.random.default_rng(13), 1024, 0.0)
+    for call, bound in ((headline_state.audit, 8.4e6), (lambda: audit(a), 16.8e6)):
+        call()  # warm
+        tracemalloc.start()
+        try:
+            got = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got["min_eigenvalue"] is None
+        assert peak <= bound
 
 
 @pytest.mark.parametrize("weight", [1.0, 0.01])
