@@ -6,7 +6,7 @@ class ConfigError(ValueError):
 
 
 class PreconditionError(ValueError):
-    """A scenario precondition (grid margin, step bound, mode span) is violated."""
+    """A scenario precondition (grid margin, packet spread, dt dividing t_final, mode span) is violated."""
 
 
 class InvariantError(RuntimeError):

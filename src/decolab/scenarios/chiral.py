@@ -7,9 +7,9 @@ gamma (Lindblad sigma_z convention: coherences decay at 2*gamma).
 Depending on gamma/omega the motion is approximately unitary, follows a
 master equation, or freezes (quantum Zeno effect).
 
-A Strang step of this dynamics is one fixed 4x4 linear map on the
-row-major vec(rho); runs apply its powers, one per record, instead of
-stepping the 2x2 matrix dt by dt.
+Runs are exact in time: from |L> the Bloch vector keeps x = 0 and (y, z)
+follows the closed form of its 2x2 generator at every record time at
+once.  dt only sets the record grid.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import PreconditionError
 from ..localization import ObservableTrace, record_steps, step_count
 from ..params import Declared, param
 
@@ -36,44 +35,43 @@ class ChiralConfig(Declared):
     record_stride: int = 10
 
 
-def _check_step(cfg: ChiralConfig):
-    bound = 0.05 / max(cfg.omega, cfg.gamma, 1e-30)
-    if cfg.dt > bound:
-        raise PreconditionError(f"dt = {cfg.dt} exceeds the step bound 0.05/max(omega, gamma) = {bound:.3g}")
+def _bloch_yz(omega: float, gamma: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch components (y, z) at times t from (0, 1), i.e. exp(A t) e_z with A = [[-2 gamma, -omega], [omega, 0]].
+
+    exp(A t) = e^{-gamma t} [cosh(nu t) I + sinh(nu t)/nu (A + gamma I)] with nu^2 = gamma^2 - omega^2, so
+    y = -omega s and z = e^{-(gamma - nu) t} + (gamma - nu) s, where s = e^{-gamma t} sinh(nu t)/nu.  Overdamped,
+    s is built from e^{-(gamma - nu) t} and expm1(-2 nu t), which cannot overflow, and gamma - nu is taken as
+    omega^2/(gamma + nu), which does not cancel; at omega = 0 it is exactly 0, so z stays exactly 1.  Underdamped
+    and at critical damping (nu = i mu), s = e^{-gamma t} sin(mu t)/mu, which tends to t e^{-gamma t} as mu -> 0.
+    """
+    nu2 = (gamma - omega) * (gamma + omega)  # without cancelling near gamma = omega
+    if nu2 > 0.0:
+        nu = math.sqrt(nu2)
+        slow = omega**2 / (gamma + nu)  # gamma - nu
+        decay = np.exp(-slow * t)
+        s = decay * -np.expm1(-2.0 * nu * t) / (2.0 * nu)
+        z = decay + slow * s
+    else:
+        mu = math.sqrt(-nu2)
+        decay = np.exp(-gamma * t)
+        s = decay * t * np.sinc(mu * t / math.pi)  # sin(mu t)/mu
+        z = decay * np.cos(mu * t) + gamma * s
+    return -omega * s, z
 
 
 def chiral_run(cfg: ChiralConfig) -> tuple[ObservableTrace, np.ndarray]:
     """Evolve |L><L| under tunneling + chirality monitoring; record P_L and coherence.
 
-    One step is a Strang split: exact half tunneling unitary, full
-    dephasing factor exp(-2*gamma*dt) on the chirality coherences, half
-    unitary.  That step is a fixed linear map, so a run applies its
-    record_stride-th power once per record (a lower power for a last,
-    partial stride).  With gamma = 0 the composition is the exact Rabi
-    evolution.  Also returns the final 2x2 density matrix.
+    Every record comes from the exact propagator (`_bloch_yz`): P_L = (1 + z)/2,
+    coherence 2|rho_LR| = |y|.  The trace column is identically 1.  Also
+    returns the final 2x2 density matrix (I + y sigma_y + z sigma_z)/2.
     """
-    _check_step(cfg)
-    n_steps = step_count(cfg.t_final, cfg.dt)
-    c, s = math.cos(cfg.omega * cfg.dt / 4.0), math.sin(cfg.omega * cfg.dt / 4.0)
-    half = np.array([[c, -1j * s], [-1j * s, c]])  # exp(-i (omega/2) sigma_x dt/2)
-    kick = np.kron(half, half.conj())  # rho -> half rho half^dag on row-major vec(rho)
-    damp = math.exp(-2.0 * cfg.gamma * cfg.dt)
-    step = kick @ np.diag([1.0, damp, damp, 1.0]) @ kick
-    stride = cfg.record_stride
-    stride_map = np.linalg.matrix_power(step, stride)
-    tail_map = np.linalg.matrix_power(step, n_steps % stride)  # a last, partial stride
-    steps = record_steps(n_steps, stride)
-    p_left, coherence, trace = np.empty((3, len(steps)))
-    p_left[0], coherence[0], trace[0] = 1.0, 0.0, 1.0
-    rho = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    for i, n in enumerate(steps[1:], start=1):
-        rho = (stride_map if n % stride == 0 else tail_map) @ rho
-        trace[i] = (rho[0] + rho[3]).real  # recorded before renormalizing, so the column shows the map's drift
-        rho /= trace[i]  # counter rounding drift of the trig unitary
-        p_left[i] = rho[0].real
-        coherence[i] = 2.0 * abs(rho[1])
-    columns = {"p_left": p_left, "coherence": coherence, "trace": trace}
-    return ObservableTrace(np.array(steps) * cfg.dt, columns), rho.reshape(2, 2)
+    steps = record_steps(step_count(cfg.t_final, cfg.dt), cfg.record_stride)
+    t = np.array(steps) * cfg.dt
+    y, z = _bloch_yz(cfg.omega, cfg.gamma, t)
+    columns = {"p_left": 0.5 * (1.0 + z), "coherence": np.abs(y), "trace": np.ones_like(t)}
+    rho = 0.5 * np.array([[1.0 + z[-1], -1j * y[-1]], [1j * y[-1], 1.0 - z[-1]]])
+    return ObservableTrace(t, columns), rho
 
 
 def classify_regime(cfg: ChiralConfig) -> str:

@@ -1,14 +1,16 @@
 """Regenerate the golden traces: one small CSV per scenario preset.
 
-    PYTHONPATH=src python tests/golden/regenerate.py
+    PYTHONPATH=src python tests/golden/regenerate.py [NAME ...]
 
-Each golden is one preset run through `runner.execute` at a cheap config
-(well under 0.5 s).  `tests/test_golden.py` re-runs the same configs and
+With no NAME every golden is regenerated; otherwise only the named ones
+(the keys of CONFIGS, which are the CSV stems).  Each golden is one
+preset run through `runner.execute` at a cheap config (well under 0.5 s).  `tests/test_golden.py` re-runs the same configs and
 compares header, row count and values.  Regenerate only when a change
 moves a value beyond that test's tolerance, and say why in CHANGES.md.
 """
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 from decolab import runner
@@ -39,5 +41,9 @@ def run(name: str, outdir: Path) -> Path:
 
 
 if __name__ == "__main__":
-    for name in CONFIGS:
+    names = sys.argv[1:] or list(CONFIGS)
+    unknown = sorted(set(names) - set(CONFIGS))
+    if unknown:
+        sys.exit(f"unknown golden {', '.join(unknown)}; known: {', '.join(CONFIGS)}")
+    for name in names:
         print(run(name, GOLDEN_DIR))

@@ -22,3 +22,23 @@ def test_two_level_scenarios_oscillate_as_cos_squared(scenario, tmp_path):
     t = rows[:, 0]
     assert np.array_equal(t, np.arange(0, 4001, 10) * 0.005)
     assert np.max(np.abs(rows[:, header.index(column)] - np.cos(OMEGA * t / 2) ** 2)) < 1e-12
+
+
+def _chiral_rows(path, **params) -> np.ndarray:
+    """The (p_left, coherence) rows of a chiral run through runner.execute."""
+    text = "[chiral-sugar]\n" + "".join(f"{k} = {v!r}\n" for k, v in params.items())
+    header, rows = read_trace_csv(execute(parse_config(f"{text}record_stride = 10\noutput = {path}\n")[0]).trace_path)
+    return rows[:, [header.index("p_left"), header.index("coherence")]]
+
+
+@pytest.mark.parametrize("gamma", [0.7, 5.0])  # under- and overdamped
+@pytest.mark.parametrize("s", [4.0, 0.25])
+def test_chiral_rows_are_invariant_under_rescaling_time(s, gamma, tmp_path):
+    # (omega, gamma, dt, t_final) -> (s omega, s gamma, dt/s, t_final/s) leaves every record's P_L and coherence
+    base = {"omega": OMEGA, "gamma": gamma, "dt": 0.01, "t_final": 8.0}
+    ref = _chiral_rows(tmp_path / "base.csv", **base)
+    scaled = _chiral_rows(tmp_path / "scaled.csv", omega=s * OMEGA, gamma=s * gamma, dt=0.01 / s, t_final=8.0 / s)
+    assert scaled.shape == ref.shape
+    assert np.max(np.abs(scaled - ref)) <= 1e-12
+    control = _chiral_rows(tmp_path / "control.csv", **base | {"omega": s * OMEGA})  # omega alone: not a symmetry
+    assert np.max(np.abs(control - ref)) > 1e-3

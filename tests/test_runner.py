@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import decolab
 from decolab.cli import AUDIT_EIG_FLOOR, main
-from decolab.hilbert import EIG_FLOOR
+from decolab.hilbert import EIG_FLOOR, audit
 from decolab.errors import ConfigError
 from decolab.runner import (
     RunConfig, parse_config, emit_config, execute,
@@ -383,11 +383,33 @@ def test_cli_run_exit_4_reads_the_measured_eigenvalue(lo, code, tmp_path, monkey
         assert err == ""
 
 
-def test_chiral_audit_reports_the_records_trace_drift(tmp_path):
+def test_chiral_audit_reads_the_final_state(tmp_path):
+    """The records' trace column is identically 1; the audit measures the run's final 2x2 state."""
     report = execute(parse_config(f"[chiral-sugar]\noutput = {tmp_path / 'sugar.csv'}\n")[0])
     header, rows = read_trace_csv(report.trace_path)
-    drift = np.max(np.abs(rows[:, header.index("trace")] - 1.0))
-    assert report.audit["trace_drift"] == drift > 0.0
+    assert np.all(rows[:, header.index("trace")] == 1.0)
+    _, rho = registry.chiral_run(report.config.spec.configure(report.config.parameters, report.config.stride))
+    assert report.audit == audit(rho)
+
+
+def test_cli_runs_chiral_sugar_at_its_registry_defaults(tmp_path, monkeypatch):
+    # gamma = 50 over t_final = 100: gamma t = 5000, where cosh and sinh of nu t overflow
+    cfg = tmp_path / "sugar.cfg"
+    cfg.write_text("[chiral-sugar]\noutput = sugar.csv\n")
+    monkeypatch.setenv("DECOLAB_OUTDIR", str(tmp_path))
+    assert main(["run", str(cfg)]) == 0
+    _, data = read_trace_csv(str(tmp_path / "sugar.csv"))
+    assert np.all(np.isfinite(data)) and data[-1, 0] == 100.0
+
+
+def test_cli_runs_every_section_of_the_chiral_regimes_config(tmp_path, monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "configs" / "chiral-regimes.cfg"
+    runs = parse_config(path.read_text())
+    monkeypatch.setenv("DECOLAB_OUTDIR", str(tmp_path))
+    assert main(["run", str(path)]) == 0
+    for run in runs:
+        _, data = read_trace_csv(str(tmp_path / run.output_path))
+        assert np.all(np.isfinite(data)) and data[-1, 0] == pytest.approx(run.parameters["t_final"], abs=1e-12)
 
 
 def test_cli_run_refuses_a_bad_section_before_running_any(tmp_path, monkeypatch):

@@ -24,6 +24,7 @@ from decolab.scenarios import (
     MeasurementChain, run_chain,
     SCENARIOS, scenario_names,
 )
+from oracles import chiral_expm_oracle
 
 
 # ---------------------------------------------------------------- two-slit
@@ -89,8 +90,6 @@ def test_two_slit_finite_mass_still_decoheres():
 def test_chiral_config_validation():
     with pytest.raises(ValueError):
         ChiralConfig(omega=-1.0)
-    with pytest.raises(PreconditionError):
-        chiral_run(ChiralConfig(omega=1.0, gamma=100.0, dt=0.01))
 
 
 def test_chiral_rabi_oscillation():
@@ -124,42 +123,28 @@ def test_chiral_trace_is_conserved():
     assert np.max(np.abs(rec["trace"] - 1.0)) < 1e-12
 
 
-def _strang_chiral_loop(omega, gamma, t_final, dt, stride):
-    """Reference: the per-step Strang loop on the 2x2 matrix, renormalized each step.
-
-    Returns rows (t, P_L, coherence, trace) at the stride multiples and the
-    last step, and the final state.
-    """
-    c, s = math.cos(omega * dt / 4.0), math.sin(omega * dt / 4.0)
-    half = np.array([[c, -1j * s], [-1j * s, c]])
-    damp = math.exp(-2.0 * gamma * dt)
-    rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    n_steps = round(t_final / dt)
-    rows = [(0.0, 1.0, 0.0, 1.0)]
-    for step in range(1, n_steps + 1):
-        rho = half @ rho @ half.conj().T
-        rho[0, 1] *= damp
-        rho[1, 0] *= damp
-        rho = half @ rho @ half.conj().T
-        rho /= np.trace(rho).real
-        if step % stride == 0 or step == n_steps:
-            rows.append((step * dt, rho[0, 0].real, 2.0 * abs(rho[0, 1]), np.trace(rho).real))
-    return np.array(rows), rho
-
-
-@pytest.mark.parametrize("gamma, t_final, stride", [(3.0, 2.0, 10), (0.5, 1.0, 7)])
-def test_chiral_matches_per_step_strang_loop(gamma, t_final, stride):
-    """The stride-power map equals the step-by-step loop, also over a last, partial stride."""
-    cfg = ChiralConfig(omega=1.3, gamma=gamma, t_final=t_final, dt=0.001, record_stride=stride)
+@pytest.mark.parametrize("gamma, t_final, dt, stride", [
+    (0.0, 2.0, 0.001, 7),  # a last, partial stride: 2000 steps, stride 7
+    (0.05, 2.0, 0.001, 7),
+    (1.0, 2.0, 0.001, 7),  # critical damping
+    (50.0, 2.0, 0.001, 7),
+    (50.0, 100.0, 0.001, 100),  # the chiral-sugar defaults
+    (100.0, 20.0, 0.01, 10),  # gamma dt = 1: a record grid coarser than any step bound
+    (1.0 + 1e-9, 20.0, 0.01, 10),  # either side of critical damping
+    (1.0 - 1e-9, 20.0, 0.01, 10),
+])
+def test_chiral_matches_expm_of_the_lindblad_generator(gamma, t_final, dt, stride):
+    """Every record and the final state equal scipy expm of the 4x4 generator at that record's time."""
+    cfg = ChiralConfig(omega=1.0, gamma=gamma, t_final=t_final, dt=dt, record_stride=stride)
     trace, rho = chiral_run(cfg)
     t, rec = trace.as_arrays()
-    ref, ref_rho = _strang_chiral_loop(cfg.omega, gamma, t_final, cfg.dt, stride)
-    assert t.shape == ref[:, 0].shape
-    assert np.max(np.abs(t - ref[:, 0])) < 1e-12
+    steps = round(t_final / dt)
+    assert np.array_equal(t, np.array(record_steps(steps, stride)) * dt)
     assert t[-1] == pytest.approx(t_final, abs=1e-12)
-    for i, name in enumerate(("p_left", "coherence", "trace"), start=1):
-        assert np.max(np.abs(rec[name] - ref[:, i])) < 1e-10, name
-    assert np.max(np.abs(rho - ref_rho)) < 1e-10
+    p_left, coherence, final = chiral_expm_oracle(cfg.omega, gamma, t)
+    assert np.max(np.abs(rec["p_left"] - p_left)) <= 1e-12
+    assert np.max(np.abs(rec["coherence"] - coherence)) <= 1e-12
+    assert np.max(np.abs(rho - final)) <= 1e-12
 
 
 def test_classify_regime_thresholds():
