@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 config error, 3 scenario precondition failure
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import ConfigError, InvariantError, PreconditionError
@@ -50,7 +51,7 @@ def _cmd_run(args) -> int:
             print(f"invariant audit failed for [{cfg.scenario}]: {audit}", file=sys.stderr)
             status = 4
             continue
-        print(f"[{cfg.scenario}] seed={cfg.seed} -> {report.trace_path} ({report.wall_time:.2f}s)")
+        print(f"[{cfg.scenario}] seed={report.config.seed} -> {report.trace_path} ({report.wall_time:.2f}s)")
         for key, value in report.summary.items():
             print(f"  {key} = {value}")
     return status
@@ -81,6 +82,7 @@ def _cmd_summarize(args) -> int:
     return 0
 
 
+@functools.cache  # one shared parser per process: parse_args leaves it as it was; callers must not change it
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="decolab", description="Decoherence scenario runner")
     sub = ap.add_subparsers(dest="command", required=True)

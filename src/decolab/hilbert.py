@@ -61,13 +61,14 @@ def check_unit(v: np.ndarray, subject: str) -> None:
         raise ValueError(f"{subject} not normalized: |v| = {norm}")
 
 
-def min_eigenvalue_if_uncertified(a: np.ndarray, weight: float = 1.0) -> float | None:
+def min_eigenvalue_if_uncertified(a: np.ndarray, weight: float = 1.0, *, hermitian: bool = False) -> float | None:
     """None if a Cholesky factorization certifies that the hermitian a * weight has no eigenvalue
     below EIG_FLOOR, else eigvalsh's smallest eigenvalue of a * weight.
 
     Rows i with |a_ii| weight <= |EIG_FLOOR|/4 are candidates; sorted by their exact mass |a_i,:|^2 +
-    |a_:,i|^2 (read HERM_BLOCK rows at a time), the longest run whose summed mass stays within
-    (|EIG_FLOOR|/4 / weight)^2 is dropped, never a NaN or inf one.  With E their part of a * weight,
+    |a_:,i|^2 (read HERM_BLOCK rows at a time; 2 |a_i,:|^2, with no column gather, for an a `hermitian`
+    by construction), the longest run whose summed mass stays within (|EIG_FLOOR|/4 / weight)^2 is
+    dropped, never a NaN or inf one.  With E their part of a * weight,
     |E|_2 <= |E|_F <= |EIG_FLOOR|/4 (Weyl), so factoring the kept block a_SS - (EIG_FLOOR/2)/weight I, a
     fresh copy, proves lambda_min(a * weight) >= 3/4 EIG_FLOOR, far beyond its backward error of order
     n eps |a * weight|; by Cauchy interlacing it holds wherever all of a would.  With nothing dropped,
@@ -77,7 +78,8 @@ def min_eigenvalue_if_uncertified(a: np.ndarray, weight: float = 1.0) -> float |
     cand = (np.abs(np.diagonal(a)) <= budget).nonzero()[0]
     keep = np.ones(len(a), bool)
     if len(cand):
-        mass = np.concatenate([np.vecdot(r := a[b], r).real + np.vecdot(c := np.take(a, b, 1), c, axis=0).real
+        mass = np.concatenate([np.vecdot(r := a[b], r).real * 2.0 if hermitian
+                               else np.vecdot(r := a[b], r).real + np.vecdot(c := np.take(a, b, 1), c, axis=0).real
                                for b in np.split(cand, range(HERM_BLOCK, len(cand), HERM_BLOCK))])
         order = np.argsort(mass)
         keep[cand[order[:np.count_nonzero(np.cumsum(mass[order]) <= budget**2)]]] = False
@@ -345,7 +347,7 @@ def audit(rho: np.ndarray, weight: float = 1.0, *, hermitian: bool = False) -> d
     `min_eigenvalue_bound`, that eigenvalue or the certified EIG_FLOOR.  The weight is the
     spacing dx of a grid density matrix, 1 for a finite-dimensional one.
     """
-    lo = min_eigenvalue_if_uncertified(rho, weight)
+    lo = min_eigenvalue_if_uncertified(rho, weight, hermitian=hermitian)
     return {
         "trace_drift": abs(float(np.trace(rho).real) * weight - 1.0),
         "hermiticity_drift": None if hermitian else hermiticity_drift(rho),

@@ -18,8 +18,8 @@ M is real, so only rfft2's half spectrum R is kept; the kick reads the same half
 of M^T from R, R[:h+1, :h+1]^T over p <= N/2 and conj(R[-q mod N, N-p]) above
 it, with no copy.  The rotation carries irfft2's 1/N^2, so no pass rescales.
 Time stepping is Strang splitting with adjacent kinetic half-kicks merged
-into one full kick, in one loop for `evolve` and two-slit; the loop also
-makes the closing half-kick, in its own buffers.
+into one full kick, in one loop for `evolve` and finite-mass two-slit; the
+loop also makes the closing half-kick, in its own buffers.
 
 Validation: `GridDensityMatrix(grid, rho, mass, lam)` checks a caller's
 complex rho in full (shape, hermiticity within 1e-10, trace, NaN and inf)

@@ -3,8 +3,8 @@
 A symmetric superposition of two packets at +-d/2 evolves under the
 localization master equation; the interference visibility is tracked as
 the cross-peak magnitude rho(d/2, -d/2) relative to its initial value.
-With the kinetic term frozen (mass = inf) the cross peak decays exactly as
-exp(-lam d^2 t).
+With the kinetic term frozen (mass = inf), rho(x, x', t) = rho(x, x', 0) exp(-lam (x - x')^2 t)
+exactly (Joos & Zeh 1985), and the run evaluates that closed form, taking no steps.
 """
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ import numpy as np
 
 from ..errors import ConfigError, PreconditionError
 from ..localization import (
-    MIN_POINTS, GridDensityMatrix, GridSpec, ObservableTrace, _decode, _march, gaussian_packet, record_steps,
-    step_count,
+    MIN_POINTS, GridDensityMatrix, GridSpec, ObservableTrace, _decode, _march, gaussian_packet, localization_step,
+    record_steps, step_count,
 )
 from ..params import Declared, param
 
@@ -69,7 +69,10 @@ def _initial_state(cfg: TwoSlitConfig) -> tuple[GridDensityMatrix, int, int]:
 def two_slit_run(cfg: TwoSlitConfig) -> tuple[ObservableTrace, GridDensityMatrix]:
     """Evolve the two-packet state, recording V(t) at the packet-center entry; also returns the final grid state.
 
-    rho_rl is psi_r psi_l^* at t = 0, then from M_rl and M_lr.  Inner records of a finite mass get M
+    At mass = inf every record is |psi_r psi_l^*| exp(-lam t (x_r - x_l)^2), and the final state is one
+    localization over t_final, in place in the initial M; K_ii = 1 keeps the diagonal, so the trace.
+
+    At a finite mass rho_rl is psi_r psi_l^* at t = 0, then from M_rl and M_lr.  Inner records get M
     before its closing half-kick U rho U^dag, where U = F^-1 e^{-i p^2 dt/4m} F is circulant: row a of U
     is u_a[b] = c[(a - b) mod N] with c = ifft(e^{-i p^2 dt/4m}).  As rho = ((1 + i) M + (1 - i) M^T)/2,
     the kicked rho_rl = u_r^T rho conj(u_l) = ((1 + i) u_r^T M conj(u_l) + (1 - i) conj(u_l)^T M u_r)/2,
@@ -81,26 +84,29 @@ def two_slit_run(cfg: TwoSlitConfig) -> tuple[ObservableTrace, GridDensityMatrix
     v0 = float(abs(s0.psi[i_r] * s0.psi[i_l].conj()))
     if v0 <= 0:
         raise PreconditionError("no initial cross peak; packets unresolved on grid")
-    peaks, traces = [], []
-    n = s0.grid.n_points
-    if math.isfinite(cfg.mass):
+    times = np.array(record_steps(n_steps, cfg.record_stride)) * cfg.dt
+    if not math.isfinite(cfg.mass):  # exact in time: no steps
+        peaks = v0 * np.exp(-cfg.lam * times * (s0.grid.dx * (i_r - i_l)) ** 2)  # the kernel's x_r - x_l
+        final = localization_step(s0, cfg.t_final, out=s0.m)
+        traces = np.full(len(times), final.trace())
+    else:
+        peaks, traces = [], []
         c = np.fft.ifft(np.exp(-1j * s0.grid.p**2 / (4.0 * cfg.mass) * cfg.dt))
-        u_r, u_l = c[np.subtract.outer((i_r, i_l), np.arange(n)) % n]
+        u_r, u_l = c[np.subtract.outer((i_r, i_l), np.arange(len(c))) % len(c)]
         w = np.stack((u_l.real, -u_l.imag, u_r.real, u_r.imag), axis=1)
 
-    def record(step: int, s: GridDensityMatrix, spectrum):
-        if s.psi is not None:  # the pure initial state: rho_rl = psi_r psi_l^*
-            rho_rl = s.psi[i_r] * s.psi[i_l].conj()
-        elif spectrum is None:
-            rho_rl = _decode(s.m[i_r, i_l], s.m[i_l, i_r])
-        else:
-            y = s.m @ w  # M conj(u_l) and M u_r, as real and imaginary parts
-            rho_rl = ((1 + 1j) * (u_r @ (y[:, 0] + 1j * y[:, 1]))
-                      + (1 - 1j) * (u_l.conj() @ (y[:, 2] + 1j * y[:, 3]))) / 2
-        peaks.append(abs(rho_rl))
-        traces.append(s.trace())
+        def record(step: int, s: GridDensityMatrix, spectrum):
+            if s.psi is not None:  # the pure initial state: rho_rl = psi_r psi_l^*
+                rho_rl = s.psi[i_r] * s.psi[i_l].conj()
+            elif spectrum is None:
+                rho_rl = _decode(s.m[i_r, i_l], s.m[i_l, i_r])
+            else:
+                y = s.m @ w  # M conj(u_l) and M u_r, as real and imaginary parts
+                rho_rl = ((1 + 1j) * (u_r @ (y[:, 0] + 1j * y[:, 1]))
+                          + (1 - 1j) * (u_l.conj() @ (y[:, 2] + 1j * y[:, 3]))) / 2
+            peaks.append(abs(rho_rl))
+            traces.append(s.trace())
 
-    final = _march(s0, cfg.dt, n_steps, cfg.record_stride, record)
-    peaks = np.array(peaks)
-    times = np.array(record_steps(n_steps, cfg.record_stride)) * cfg.dt
+        final = _march(s0, cfg.dt, n_steps, cfg.record_stride, record)
+    peaks = np.asarray(peaks)
     return ObservableTrace(times, {"visibility": peaks / v0, "cross_peak": peaks, "trace": traces}), final

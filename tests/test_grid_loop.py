@@ -1,10 +1,12 @@
 """The grid's one step loop against a per-step Strang loop written here.
 
-`evolve` and the two-slit scenario share a loop that merges adjacent
-kinetic half-kicks and reads two-slit records from the state before its
-closing half-kick.  The reference below steps every half-kick as
-U rho U^dag with a dense U built from plain numpy, and applies no decolab
-step function.
+`evolve` and the finite-mass two-slit scenario share a loop that merges
+adjacent kinetic half-kicks and reads two-slit records from the state
+before its closing half-kick.  The reference below steps every half-kick
+as U rho U^dag with a dense U built from plain numpy, and applies no
+decolab step function.  At infinite mass two-slit takes no steps; it is
+checked against the closed form rho(x, x', 0) exp(-lam t (x - x')^2),
+built here too, and against the reference loop.
 """
 import math
 import tracemalloc
@@ -77,14 +79,34 @@ def test_evolve_matches_per_step_strang_loop(n_points, stride):
 
 def test_infinite_mass_loop_matches_exactly():
     cfg = TwoSlitConfig(lam=2.0, t_final=0.1, dt=0.01, n_points=128, record_stride=3)
-    s0, i_r, i_l = _initial_state(cfg)
+    s0, _, _ = _initial_state(cfg)
     states = _strang_reference(s0.rho, s0.grid, math.inf, cfg.lam, cfg.dt, 10)
-    trace, final = two_slit_run(cfg)
-    _, rec = trace.as_arrays()
-    assert list(rec["cross_peak"]) == [abs(states[k][i_r, i_l]) for k in (0, 3, 6, 9, 10)]
-    assert np.array_equal(final.rho, states[-1])
     out, _ = evolve(s0, 0.1, 0.01, record_stride=3)
     assert np.array_equal(out.rho, states[-1])
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_infinite_mass_two_slit_is_the_closed_form(stride):
+    """Records |psi_r psi_l^*| exp(-lam t (x_r - x_l)^2) and the final rho_0 * exp(-lam t_final (x - x')^2) to
+    1e-14, and the per-step reference loop to its n_steps roundings."""
+    cfg = TwoSlitConfig(lam=2.0, t_final=0.1, dt=0.01, n_points=128, record_stride=stride)
+    s0, i_r, i_l = _initial_state(cfg)
+    x, psi, rho0 = s0.grid.x, s0.psi, np.outer(s0.psi, s0.psi.conj())
+    steps = [0, 3, 6, 9, 10] if stride == 3 else list(range(11))
+    t = np.array(steps) * cfg.dt
+    trace, final = two_slit_run(cfg)
+    times, rec = trace.as_arrays()
+    assert np.allclose(times, t, rtol=0, atol=1e-15)
+    cross = abs(psi[i_r] * psi[i_l].conj()) * np.exp(-cfg.lam * t * (x[i_r] - x[i_l]) ** 2)
+    np.testing.assert_allclose(rec["cross_peak"], cross, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(rec["visibility"], cross / cross[0], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(rec["trace"], np.vdot(psi, psi).real * s0.grid.dx, rtol=1e-14, atol=0)
+    rho = rho0 * np.exp(-cfg.lam * cfg.t_final * (x[:, None] - x[None, :]) ** 2)
+    assert np.max(np.abs(final.rho - rho)) <= 1e-14 * np.max(np.abs(rho))
+    states = _strang_reference(rho0, s0.grid, math.inf, cfg.lam, cfg.dt, 10)
+    n_eps = 10 * np.finfo(float).eps
+    np.testing.assert_allclose(rec["cross_peak"], [abs(states[k][i_r, i_l]) for k in steps], rtol=n_eps, atol=0)
+    assert np.max(np.abs(final.rho - states[-1])) <= n_eps * np.max(np.abs(states[-1]))
 
 
 @pytest.mark.parametrize("pure", [True, False])
@@ -117,3 +139,17 @@ def test_two_slit_at_512_points_peaks_below_11_mb():
     finally:
         tracemalloc.stop()
     assert peak < 11e6
+
+
+def test_infinite_mass_two_slit_at_512_points_holds_one_m():
+    """At mass = inf the final localization runs in place in the initial M: the peak is that one N x N
+    float64 M (2.1 MB at N = 512) and O(N), at or below the 2,195,730 B measured when the run stepped `_march`."""
+    cfg = TwoSlitConfig(n_points=512)
+    two_slit_run(cfg)
+    tracemalloc.start()
+    try:
+        two_slit_run(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2e6

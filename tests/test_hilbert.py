@@ -9,7 +9,7 @@ from decolab import hilbert
 from decolab.hilbert import (
     EIG_FLOOR, HERM_BLOCK, SubsystemSplit, StateVector, DensityMatrix, Observable,
     density_of, expectation, partial_trace, check_gram, check_unit, hermiticity_drift,
-    schmidt, entanglement_entropy, offdiagonal_coherence, audit,
+    schmidt, entanglement_entropy, offdiagonal_coherence, audit, min_eigenvalue_if_uncertified,
 )
 from decolab.localization import GridSpec, gaussian_packet, pure_density
 from decolab.scenarios.twoslit import TwoSlitConfig, two_slit_run
@@ -132,6 +132,26 @@ def test_rank_deficient_states_are_certified_without_eigvalsh(monkeypatch, headl
     assert [len(x) < 512 for x in factored] == [True, True, False]
     assert factored[2] is pure.entries
     DensityMatrix(pure.entries, split)  # the constructor's check takes the same certificate
+
+
+def test_hermitian_input_keeps_the_certificate_rows(monkeypatch, headline_state):
+    """For the exactly hermitian decoded grid rho, twice the row mass is the row-plus-column mass: with and
+    without the flag the certificate factors the same rows and certifies; the audit gathers no column."""
+    m = headline_state.m
+    rho = m + 1j * m  # rho_ij = (M_ij + M_ji)/2 + i (M_ij - M_ji)/2, written out here
+    rho.real += m.T
+    rho.imag -= m.T
+    rho *= 0.5
+    assert np.array_equal(rho, rho.conj().T)
+    factored, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(hilbert.np.linalg, "cholesky", lambda x: factored.append(x.copy()) or cholesky(x))
+    got = [min_eigenvalue_if_uncertified(rho, headline_state.grid.dx, hermitian=h) for h in (True, False)]
+    assert got == [None, None]
+    assert len(factored[0]) < 512 and np.array_equal(factored[0], factored[1])
+    def refuse(*args, **kwargs):
+        raise AssertionError("a column gathered for a hermitian-by-construction rho")
+    monkeypatch.setattr(hilbert.np, "take", refuse)
+    assert headline_state.audit()["min_eigenvalue"] is None
 
 
 def _state_with_tail(seed, n_kept, coupling, diagonal, lo, planted_in_tail, weight):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import decolab
+from decolab import cli
 from decolab.cli import AUDIT_EIG_FLOOR, main
 from decolab.hilbert import EIG_FLOOR, audit
 from decolab.errors import ConfigError
@@ -221,6 +222,31 @@ def test_cli_run_success(tmp_path, monkeypatch, capsys):
     assert main(["run", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "charge-shells" in out
+
+
+def test_cli_calls_share_one_parser_but_no_flags(tmp_path, monkeypatch, capsys):
+    """Every `main` call parses with the one parser built per process; a run's --seed reaches neither the
+    summarize after it nor the next run, which takes its config's seed, and summarize keeps its defaults.
+    Each run prints the seed it ran with."""
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    parsed = []
+    parse_args = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda argv: parsed.append(parse_args(argv)) or parsed[-1])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CHARGE_CFG)  # seed = 7
+    monkeypatch.setenv("DECOLAB_OUTDIR", str(tmp_path))
+    trace = str(tmp_path / "charge-shells-0-seed11.csv")
+    assert main(["run", str(cfg), "--seed", "11"]) == 0
+    assert main(["summarize", trace]) == 0
+    assert main(["run", str(cfg)]) == 0
+    assert [vars(a) for a in parsed] == [
+        {"command": "run", "config": str(cfg), "seed": 11, "fn": cli._cmd_run},
+        {"command": "summarize", "trace": [trace], "column": None, "window": None, "fn": cli._cmd_summarize},
+        {"command": "run", "config": str(cfg), "seed": None, "fn": cli._cmd_run},
+    ]
+    out = capsys.readouterr().out
+    assert "seed=11 ->" in out and "seed=7 ->" in out and "ratio_vs_first" in out
 
 
 def test_cli_run_missing_file_is_config_error(capsys):
