@@ -11,7 +11,7 @@ import functools
 import sys
 
 from .errors import ConfigError, InvariantError, PreconditionError
-from .runner import execute, parse_config, summarize, format_summary_table
+from .runner import emit_config, execute, format_summary_table, parse_config, summarize
 from .scenarios.registry import SCENARIOS
 
 AUDIT_TRACE_TOL = 1e-8
@@ -36,15 +36,15 @@ def _cmd_run(args) -> int:
             report = execute(cfg, index=index, seed_override=args.seed)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
-            return 2
+            return _skip(runs, index, 2)
         except (PreconditionError, ArithmeticError) as exc:  # or out of float range
             print(f"precondition failure in [{cfg.scenario}]: {exc}", file=sys.stderr)
-            print(f"config echo:\n{_echo(cfg)}", file=sys.stderr)
-            return 3
+            print(f"config echo:\n{emit_config(cfg)}", file=sys.stderr)
+            return _skip(runs, index, 3)
         except InvariantError as exc:
             print(f"invariant violation in [{cfg.scenario}]: {exc}", file=sys.stderr)
-            print(f"config echo:\n{_echo(cfg)}", file=sys.stderr)
-            return 4
+            print(f"config echo:\n{emit_config(cfg)}", file=sys.stderr)
+            return _skip(runs, index, 4)
         audit = report.audit
         eig = audit["min_eigenvalue_bound"]  # certified or measured; None where the run keeps no state
         if audit["trace_drift"] > AUDIT_TRACE_TOL or (eig is not None and eig < AUDIT_EIG_FLOOR):
@@ -57,9 +57,11 @@ def _cmd_run(args) -> int:
     return status
 
 
-def _echo(cfg) -> str:
-    from .runner import emit_config
-    return emit_config(cfg)
+def _skip(runs, index: int, code: int) -> int:
+    """Name on stderr each section after runs[index], whose exit `code` ends the run; returns code."""
+    for number, cfg in enumerate(runs[index + 1:], start=index + 2):
+        print(f"skipped section {number} [{cfg.scenario}]: not run after exit {code}", file=sys.stderr)
+    return code
 
 
 def _cmd_list(_args) -> int:

@@ -306,29 +306,33 @@ def _march(s0: GridDensityMatrix, dt: float, n_steps: int, stride: int, record):
     step of record_steps(n_steps, stride), record(step, s, spectrum) gets the state s at that step
     with spectrum None; at inner steps of a finite mass it gets the state before its closing
     half-kick and spectrum = rfft2(s.m), kicked in place afterwards: a view of the loop's buffer,
-    valid during the call.
+    valid during the call.  At mass = inf the localization flow alone is exact, so one localization
+    per record interval replaces the steps: out of s0 into a new M, then in place in that M.
     """
-    finite = math.isfinite(s0.mass)
-    kernel = _localization_kernel(s0.grid, s0.lam, dt)
-    if finite:
-        rotation = _rotation(s0.grid, s0.mass, dt)
-        buffers = np.empty((2, *rotation[0].shape), complex)  # R = rfft2(M) and the kick's sine product
-    at = set(record_steps(n_steps, stride)[1:-1])
+    steps = record_steps(n_steps, stride)
     record(0, s0, None)
-    s = kinetic_half_step(s0, dt)  # for mass = inf a copy: the loop's own M
+    if not math.isfinite(s0.mass):
+        s, full = s0, _localization_kernel(s0.grid, s0.lam, steps[1] * dt)  # every interval's but a short last one's
+        for a, b in zip(steps, steps[1:]):
+            s = localization_step(s, (b - a) * dt, full if b - a == steps[1] else None, out=None if s is s0 else s.m)
+            record(b, s, None)
+        return s
+    kernel = _localization_kernel(s0.grid, s0.lam, dt)
+    rotation = _rotation(s0.grid, s0.mass, dt)
+    buffers = np.empty((2, *rotation[0].shape), complex)  # R = rfft2(M) and the kick's sine product
+    at = set(steps[1:-1])
+    s = kinetic_half_step(s0, dt)
     m = s.m
     for step in range(1, n_steps + 1):
         s = localization_step(s, dt, kernel, out=m)
-        if finite and step == n_steps:  # the closing half-kick
+        if step == n_steps:  # the closing half-kick
             del kernel, rotation
             rotation = _rotation(s0.grid, s0.mass, dt / 2.0)
-        spectrum = np.fft.rfft2(m, out=buffers[0]) if finite else None
+        spectrum = np.fft.rfft2(m, out=buffers[0])
         if step in at:
             record(step, s, spectrum)
-        if finite:
-            _kicked(spectrum, rotation, out=m, work=buffers)
-    if finite:
-        s = _state(s, m)
+        _kicked(spectrum, rotation, out=m, work=buffers)
+    s = _state(s, m)
     record(n_steps, s, None)
     return s
 

@@ -72,18 +72,21 @@ class FrequencyRecord:
 
 
 def run_chain(chain: MeasurementChain, runs: int) -> FrequencyRecord:
-    """Sample the observed outcome n0 for `runs` repetitions.
+    """Sample the observed outcome n0 for `runs` repetitions by the inverse-CDF rule.
 
     Run i consumes block i of a Philox counter stream keyed on the chain's
     seed, so the record is independent of execution order and bitwise
-    reproducible.
+    reproducible.  Its outcome, of dtype min_scalar_type(n_outcomes - 1), is the number of inner
+    edges of cumsum(probabilities) at or below its uniform u (searchsorted's, the last edge pinned
+    to 1), in one comparison pass per edge; counts are the differences of the passes' tallies.
     """
     if runs < 1:
         raise ValueError("need at least one run")
     rng = np.random.Generator(np.random.Philox(key=chain.seed))
     u = rng.random(runs)
-    edges = np.cumsum(chain.probabilities)
-    edges[-1] = 1.0  # guard against rounding
-    outcomes = np.searchsorted(edges, u, side="right")
-    counts = np.bincount(outcomes, minlength=chain.n_outcomes)
-    return FrequencyRecord(counts, chain.seed, outcomes)
+    outcomes = np.zeros(runs, np.min_scalar_type(chain.n_outcomes - 1))
+    above, at_least = np.empty(runs, bool), [runs]
+    for edge in np.cumsum(chain.probabilities)[:-1]:
+        outcomes += np.greater_equal(u, edge, out=above)
+        at_least.append(np.count_nonzero(above))
+    return FrequencyRecord(-np.diff(at_least + [0]), chain.seed, outcomes)

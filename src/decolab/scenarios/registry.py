@@ -162,10 +162,10 @@ def _run_chain(cfg: ChainConfig, seed: int) -> ScenarioResult:
     chain = MeasurementChain(amps, seed=seed)
     record = run_chain(chain, runs)
     probs = chain.probabilities
-    # cumulative empirical frequencies of the sampled runs' prefixes: outcome k's count
-    # among the first m runs is the number of its run indices below m
-    m = np.array(record_steps(runs, cfg.record_stride)[1:])
-    trace = ObservableTrace(m, {f"f_{k}": np.searchsorted(np.flatnonzero(record.outcomes == k), m) / m
+    # outcome k's frequency among the first m runs, from its counts in the chunks between record steps
+    steps = np.array(record_steps(runs, cfg.record_stride))  # 0, then every m
+    m, wide = steps[1:], np.min_scalar_type(runs)  # an integer that holds every count
+    trace = ObservableTrace(m, {f"f_{k}": np.add.reduceat(record.outcomes == k, steps[:-1], dtype=wide).cumsum() / m
                                 for k in range(n)})
     freqs = record.frequencies
     sigma = np.sqrt(probs * (1 - probs) / runs)

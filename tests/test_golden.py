@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from decolab.runner import read_trace_csv
+from golden import regenerate
 from golden.regenerate import CONFIGS, GOLDEN_DIR, run
 
 RTOL, ATOL = 1e-12, 1e-13
@@ -47,3 +48,19 @@ def test_a_trace_perturbed_by_1e_9_is_rejected(name):
     assert mismatch((head, rows), (head, perturbed)) is not None
     assert mismatch((head, rows), (head, rows[:-1])) is not None
     assert mismatch((head, rows), (head[::-1], rows)) is not None
+
+
+def test_check_finds_the_born_chain_golden_byte_identical(capsys):
+    before = {p.name: p.stat().st_mtime_ns for p in GOLDEN_DIR.glob("*.csv*")}
+    assert regenerate.main(["--check", "born-chain"]) == 0
+    assert capsys.readouterr().out == ""
+    assert {p.name: p.stat().st_mtime_ns for p in GOLDEN_DIR.glob("*.csv*")} == before  # wrote nothing
+
+
+def test_check_prints_the_first_differing_line(tmp_path, monkeypatch, capsys):
+    lines = (GOLDEN_DIR / "born-chain.csv").read_text().splitlines(True)
+    lines[2] = lines[2].replace(",", ",9", 1)
+    (tmp_path / "born-chain.csv").write_text("".join(lines))
+    monkeypatch.setattr(regenerate, "GOLDEN_DIR", tmp_path)
+    assert regenerate.main(["--check", "born-chain"]) == 1
+    assert capsys.readouterr().out.startswith("born-chain: line 3 differs: golden '")

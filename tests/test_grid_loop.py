@@ -4,9 +4,10 @@
 adjacent kinetic half-kicks and reads two-slit records from the state
 before its closing half-kick.  The reference below steps every half-kick
 as U rho U^dag with a dense U built from plain numpy, and applies no
-decolab step function.  At infinite mass two-slit takes no steps; it is
-checked against the closed form rho(x, x', 0) exp(-lam t (x - x')^2),
-built here too, and against the reference loop.
+decolab step function.  At infinite mass two-slit takes no steps and
+`evolve` localizes once per record interval; both are checked against the
+closed form rho(x, x', 0) exp(-lam t (x - x')^2), built here too, and
+against the reference loop.
 """
 import math
 import tracemalloc
@@ -77,12 +78,24 @@ def test_evolve_matches_per_step_strang_loop(n_points, stride):
     assert np.max(np.abs(out.rho - states[-1])) < 1e-12 * np.max(np.abs(states[-1]))
 
 
-def test_infinite_mass_loop_matches_exactly():
-    cfg = TwoSlitConfig(lam=2.0, t_final=0.1, dt=0.01, n_points=128, record_stride=3)
+@pytest.mark.parametrize("stride", [1, 3, 20])
+def test_infinite_mass_evolve_is_the_closed_form(stride):
+    """Records and the final state of rho_0 * exp(-lam t (x - x')^2) to 1e-14, and the per-step reference loop
+    to its n_steps roundings; stride 3 ends on a partial interval, stride 20 is one interval over t_final."""
+    cfg = TwoSlitConfig(lam=2.0, t_final=0.1, dt=0.01, n_points=128)
     s0, _, _ = _initial_state(cfg)
-    states = _strang_reference(s0.rho, s0.grid, math.inf, cfg.lam, cfg.dt, 10)
-    out, _ = evolve(s0, 0.1, 0.01, record_stride=3)
-    assert np.array_equal(out.rho, states[-1])
+    x, rho0, names = s0.grid.x, s0.rho, ("trace", "offdiag_peak", "purity")
+    before = s0.m.copy()
+    out, trace = evolve(s0, 0.1, 0.01, recorder=names, record_stride=stride)
+    assert np.array_equal(s0.m, before)
+    times, rec = trace.as_arrays()
+    closed = [rho0 * np.exp(-cfg.lam * t * (x[:, None] - x[None, :]) ** 2) for t in times]
+    assert np.max(np.abs(out.rho - closed[-1])) <= 1e-14 * np.max(np.abs(closed[-1]))
+    expected = [_record(GridDensityMatrix(s0.grid, rho, math.inf, cfg.lam), names) for rho in closed]
+    for name in names:
+        np.testing.assert_allclose(rec[name], [e[name] for e in expected], rtol=1e-14, atol=0, err_msg=name)
+    reference = _strang_reference(rho0, s0.grid, math.inf, cfg.lam, cfg.dt, 10)[-1]
+    assert np.max(np.abs(out.rho - reference)) <= 10 * np.finfo(float).eps * np.max(np.abs(reference))
 
 
 @pytest.mark.parametrize("stride", [1, 3])

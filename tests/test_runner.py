@@ -446,6 +446,17 @@ def test_cli_run_refuses_a_bad_section_before_running_any(tmp_path, monkeypatch)
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_cli_run_names_the_sections_an_early_exit_skips(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "three.cfg"
+    cfg.write_text("[charge-shells]\nshells = 10\n[two-slit]\nt_final = 1.0\ndt = 0.3\n[born-chain]\nruns = 100\n")
+    monkeypatch.setenv("DECOLAB_OUTDIR", str(tmp_path))
+    assert main(["run", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "skipped" in line] == [
+        "skipped section 3 [born-chain]: not run after exit 3"]
+    assert [p.name for p in tmp_path.glob("*.csv")] == ["charge-shells-0-seed0.csv"]
+
+
 @pytest.mark.parametrize("runs, rows", [(2500, [1000, 2000, 2500]), (999, [999]), (4000, [1000, 2000, 3000, 4000])])
 def test_born_chain_records_up_to_the_last_run(runs, rows, tmp_path, monkeypatch):
     monkeypatch.setenv("DECOLAB_OUTDIR", str(tmp_path))

@@ -15,6 +15,7 @@ from decolab.localization import ObservableTrace, fit_exponent, record_steps
 from decolab.runner import write_trace_csv
 from decolab.scenarios import registry
 from decolab.scenarios.twoslit import _initial_state
+from decolab.scenarios.chain import ChainConfig
 from decolab.scenarios.decay import BLOCK, _chiral_block
 from decolab.scenarios import (
     TwoSlitConfig, two_slit_run,
@@ -501,6 +502,77 @@ def test_run_chain_prefix_property():
     assert long.n_runs == 2000
     # frequencies of the long run stay near the short-run frequencies
     assert np.max(np.abs(long.frequencies - short.frequencies)) < 0.05
+
+
+def _searchsorted_outcomes(chain: MeasurementChain, runs: int) -> np.ndarray:
+    """The inverse-CDF reference: each run's Philox uniform searched in cumsum(|c_n|^2), its last edge pinned to 1."""
+    u = np.random.Generator(np.random.Philox(key=chain.seed)).random(runs)
+    edges = np.cumsum(chain.probabilities)
+    edges[-1] = 1.0
+    return np.searchsorted(edges, u, side="right")
+
+
+def _unit(n: int) -> np.ndarray:
+    v = np.array([1, 1j]) @ np.random.default_rng(n).normal(size=(2, n))
+    return v / np.linalg.norm(v)
+
+
+CHAIN_CASES = {
+    **{f"n{n}": _unit(n) for n in (2, 4, 7, 256, 257)},  # 256 outcomes fit uint8, 257 need uint16
+    "zero-probabilities": np.array([0, 0.6, 0, 0, 0.8, 0]),  # repeated edges, first and last outcome never seen
+    "cumsum-above-1": np.array([math.sqrt(0.5), math.sqrt(0.5 + 4e-13), 1e-8]),  # inner edge 1 + 4e-13
+}
+
+
+@pytest.mark.parametrize("amplitudes", CHAIN_CASES.values(), ids=CHAIN_CASES.keys())
+def test_run_chain_is_searchsorted_over_the_pinned_cdf(amplitudes):
+    chain = MeasurementChain(amplitudes, seed=41)
+    if len(amplitudes) == 3:
+        assert np.cumsum(chain.probabilities)[-2] > 1.0
+    record = run_chain(chain, 20000)
+    expected = _searchsorted_outcomes(chain, 20000)
+    assert record.outcomes.dtype == (np.uint8 if chain.n_outcomes <= 256 else np.uint16)
+    assert np.array_equal(record.outcomes, expected)
+    assert np.array_equal(record.counts, np.bincount(expected, minlength=chain.n_outcomes))
+
+
+def test_run_chain_puts_a_uniform_on_an_edge_above_it():
+    """A run whose u equals edge k exactly has outcome k + 1, as searchsorted(side="right") gives."""
+    seed, runs = 5, 4000
+    u = np.random.Generator(np.random.Philox(key=seed)).random(runs)
+    j = next(j for j in range(runs) if math.sqrt(u[j]) * math.sqrt(u[j]) == u[j])
+    chain = MeasurementChain([math.sqrt(u[j]), math.sqrt(1.0 - u[j])], seed=seed)
+    assert chain.probabilities[0] == u[j]
+    record = run_chain(chain, runs)
+    assert record.outcomes[j] == 1
+    assert np.array_equal(record.outcomes, _searchsorted_outcomes(chain, runs))
+
+
+@pytest.mark.parametrize("runs, stride", [(12345, 777), (1, 1000)])
+def test_chain_records_are_prefix_frequencies(runs, stride, monkeypatch):
+    """Column f_k at m runs is outcome k's count among the first m runs over m, counted here run by run."""
+    records = []
+    monkeypatch.setattr(registry, "run_chain", lambda chain, n: records.append(run_chain(chain, n)) or records[-1])
+    result = registry._run_chain(ChainConfig(n_outcomes=7, runs=runs, record_stride=stride), 3)
+    m = np.unique(np.r_[np.arange(stride, runs + 1, stride), runs])  # 777, 1554, ..., 11655, 12345
+    times, rec = result.trace.as_arrays()
+    assert np.array_equal(times, m)
+    for k in range(7):
+        assert np.array_equal(rec[f"f_{k}"], np.cumsum(records[0].outcomes == k)[m - 1] / m), k
+
+
+def test_chain_of_400000_runs_peaks_below_4_5_mb():
+    """run_chain holds u (8 B per run), the outcomes (1 B) and one comparison mask (1 B), 4.0 MB at 4e5 runs,
+    and the records one mask at a time: 6.40 MB was measured with intp outcomes and per-outcome index searches."""
+    cfg = ChainConfig(runs=400_000, record_stride=1000)
+    registry._run_chain(cfg, 1)
+    tracemalloc.start()
+    try:
+        registry._run_chain(cfg, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5e6
 
 
 # ---------------------------------------------------------------- registry
