@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 config error, 3 scenario precondition failure
 (including a run whose arithmetic leaves the floating-point range),
-4 invariant-audit failure.
+4 invariant failure, in a run or in `runner.execute`'s final audit.  Each
+ends the command, naming on stderr the sections it skips.
 """
 from __future__ import annotations
 
@@ -13,9 +14,6 @@ import sys
 from .errors import ConfigError, InvariantError, PreconditionError
 from .runner import emit_config, execute, format_summary_table, parse_config, summarize
 from .scenarios.registry import SCENARIOS
-
-AUDIT_TRACE_TOL = 1e-8
-AUDIT_EIG_FLOOR = -1e-8
 
 
 def _cmd_run(args) -> int:
@@ -30,7 +28,6 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    status = 0
     for index, cfg in enumerate(runs):
         try:
             report = execute(cfg, index=index, seed_override=args.seed)
@@ -45,16 +42,10 @@ def _cmd_run(args) -> int:
             print(f"invariant violation in [{cfg.scenario}]: {exc}", file=sys.stderr)
             print(f"config echo:\n{emit_config(cfg)}", file=sys.stderr)
             return _skip(runs, index, 4)
-        audit = report.audit
-        eig = audit["min_eigenvalue_bound"]  # certified or measured; None where the run keeps no state
-        if audit["trace_drift"] > AUDIT_TRACE_TOL or (eig is not None and eig < AUDIT_EIG_FLOOR):
-            print(f"invariant audit failed for [{cfg.scenario}]: {audit}", file=sys.stderr)
-            status = 4
-            continue
         print(f"[{cfg.scenario}] seed={report.config.seed} -> {report.trace_path} ({report.wall_time:.2f}s)")
         for key, value in report.summary.items():
             print(f"  {key} = {value}")
-    return status
+    return 0
 
 
 def _skip(runs, index: int, code: int) -> int:

@@ -63,7 +63,7 @@ def check_unit(v: np.ndarray, subject: str) -> None:
 
 def min_eigenvalue_if_uncertified(a: np.ndarray, weight: float = 1.0, *, hermitian: bool = False) -> float | None:
     """None if a Cholesky factorization certifies that the hermitian a * weight has no eigenvalue
-    below EIG_FLOOR, else eigvalsh's smallest eigenvalue of a * weight.
+    below EIG_FLOOR, else eigvalsh's smallest eigenvalue of a * weight, or NaN if a is not finite.
 
     Rows i with |a_ii| weight <= |EIG_FLOOR|/4 are candidates; sorted by their exact mass |a_i,:|^2 +
     |a_:,i|^2 (read HERM_BLOCK rows at a time; 2 |a_i,:|^2, with no column gather, for an a `hermitian`
@@ -95,13 +95,13 @@ def min_eigenvalue_if_uncertified(a: np.ndarray, weight: float = 1.0, *, hermiti
         pass
     finally:
         diagonal[:] = saved
-    return float(np.linalg.eigvalsh(a)[0]) * weight
+    return float(np.linalg.eigvalsh(a)[0]) * weight if np.isfinite(a).all() else np.nan
 
 
 def check_positive(a: np.ndarray, subject: str) -> None:
-    """ValueError naming the smallest eigenvalue if the hermitian matrix a has one below EIG_FLOOR."""
+    """ValueError naming the smallest eigenvalue if the hermitian matrix a has one below EIG_FLOOR or is not finite."""
     lo = min_eigenvalue_if_uncertified(a)
-    if lo is not None and lo < EIG_FLOOR:
+    if lo is not None and not lo >= EIG_FLOOR:
         raise ValueError(f"{subject}: negative eigenvalue {lo}")
 
 

@@ -208,12 +208,10 @@ def step_count(t_final: float, dt: float) -> int:
     return n_steps
 
 
-def record_steps(n_steps: int, stride: int) -> list[int]:
-    """Steps at which a run records: 0, every stride-th step, and the last step."""
-    steps = list(range(0, n_steps + 1, stride))
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
-    return steps
+def record_steps(n_steps: int, stride: int) -> np.ndarray:
+    """Steps at which a run records, as integers: 0, every stride-th step, and the last step."""
+    steps = np.arange(0, n_steps + 1, stride)
+    return steps if steps[-1] == n_steps else np.append(steps, n_steps)
 
 
 class CoherenceLength(NamedTuple):
@@ -320,7 +318,7 @@ def _march(s0: GridDensityMatrix, dt: float, n_steps: int, stride: int, record):
     kernel = _localization_kernel(s0.grid, s0.lam, dt)
     rotation = _rotation(s0.grid, s0.mass, dt)
     buffers = np.empty((2, *rotation[0].shape), complex)  # R = rfft2(M) and the kick's sine product
-    at = set(steps[1:-1])
+    at = set(steps[1:-1].tolist())
     s = kinetic_half_step(s0, dt)
     m = s.m
     for step in range(1, n_steps + 1):
@@ -442,5 +440,5 @@ def evolve(s0: GridDensityMatrix, t_final: float, dt: float,
         rows.append(_record(s, recorder))
 
     final = _march(s0, dt, n_steps, record_stride, record)
-    times = np.array(record_steps(n_steps, record_stride)) * dt
+    times = record_steps(n_steps, record_stride) * dt
     return final, ObservableTrace(times, {k: [r[k] for r in rows] for k in rows[0]})

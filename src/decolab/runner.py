@@ -18,12 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvariantError
 from .localization import fit_exponent
 from .scenarios.registry import SCENARIOS, ScenarioDef
 
 OUTPUT_DIR_ENV = "DECOLAB_OUTDIR"
 RESERVED_KEYS = ("seed", "output", "record_stride")
+AUDIT_TRACE_TOL = 1e-8
+AUDIT_EIG_FLOOR = -1e-8
 
 
 @dataclass
@@ -187,7 +189,9 @@ def write_trace_csv(path: str, time_column: str, trace) -> None:
 def execute(cfg: RunConfig, index: int = 0, seed_override: int | None = None) -> RunReport:
     """Run one scenario, writing its CSV trace and returning the report.
 
-    The report is also written next to the CSV as `<trace>.report.json`.
+    The report is also written next to the CSV as `<trace>.report.json`; then InvariantError (exit 4)
+    unless the audit's trace drift <= AUDIT_TRACE_TOL and its eigenvalue bound, where measured,
+    >= AUDIT_EIG_FLOOR.  A NaN fails either test.
     """
     if seed_override is not None:
         cfg = RunConfig(cfg.scenario, dict(cfg.parameters), seed=seed_override,
@@ -206,6 +210,9 @@ def execute(cfg: RunConfig, index: int = 0, seed_override: int | None = None) ->
     with open(out_path + ".report.json", "w") as fh:
         json.dump(report.as_dict(), fh, indent=2, default=str)
         fh.write("\n")
+    eig = report.audit["min_eigenvalue_bound"]  # None where the run keeps no state
+    if not report.audit["trace_drift"] <= AUDIT_TRACE_TOL or (eig is not None and not eig >= AUDIT_EIG_FLOOR):
+        raise InvariantError(f"invariant audit failed for [{cfg.scenario}]: {report.audit}")
     return report
 
 

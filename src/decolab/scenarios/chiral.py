@@ -66,8 +66,7 @@ def chiral_run(cfg: ChiralConfig) -> tuple[ObservableTrace, np.ndarray]:
     coherence 2|rho_LR| = |y|.  The trace column is identically 1.  Also
     returns the final 2x2 density matrix (I + y sigma_y + z sigma_z)/2.
     """
-    steps = record_steps(step_count(cfg.t_final, cfg.dt), cfg.record_stride)
-    t = np.array(steps) * cfg.dt
+    t = record_steps(step_count(cfg.t_final, cfg.dt), cfg.record_stride) * cfg.dt
     y, z = _bloch_yz(cfg.omega, cfg.gamma, t)
     columns = {"p_left": 0.5 * (1.0 + z), "coherence": np.abs(y), "trace": np.ones_like(t)}
     rho = 0.5 * np.array([[1.0 + z[-1], -1j * y[-1]], [1j * y[-1], 1.0 - z[-1]]])

@@ -95,7 +95,7 @@ def decay_run(cfg: DecayConfig) -> tuple[ObservableTrace, np.ndarray | None]:
     """
     n_steps = step_count(cfg.t_final, cfg.dt)
     _check_span(cfg)
-    steps = np.array(record_steps(n_steps, cfg.record_stride))
+    steps = record_steps(n_steps, cfg.record_stride)
     u, sigma, vt = np.linalg.svd(_chiral_block(cfg))
     p, q = len(sigma), len(vt)  # ceil(n/2) pairs +-sigma, floor(n/2)+1 coordinates on S = -1
     freqs = np.append(sigma, np.zeros(q - p))  # the zero mode of even n last

@@ -5,7 +5,9 @@ exposes, a record stride, a time column and a description.  Its `params`
 are the exposed fields' declarations (`decolab.params`), keyed by config
 key; `configure` builds and so validates the config object, and `run`
 runs it, producing a time-indexed trace, a summary of fitted quantities,
-and an invariant audit of the final state (`hilbert.audit`).
+and an invariant audit of the final state (`hilbert.audit`), which
+`runner.execute` holds to its exit-4 rule.  born-chain audits its last
+record row, diag(f_k): of unit trace only if the records cover every run.
 """
 from __future__ import annotations
 
@@ -106,7 +108,7 @@ def _run_charge(cfg: ChargeConfig, seed: int) -> ScenarioResult:
     np.fill_diagonal(gram, 1.0)
     model = ChargeModel(amps, cfg.shells, gram)  # validates the Gram matrix once per run
     coherent, gram_t = np.outer(amps, amps), gram.T
-    shells = np.array(record_steps(cfg.shells, cfg.record_stride))
+    shells = record_steps(cfg.shells, cfg.record_stride)
     sums = np.empty(len(shells))
     chunk = max(1, BUDGET // q**2)
     for i in range(0, len(shells), chunk):
@@ -163,7 +165,7 @@ def _run_chain(cfg: ChainConfig, seed: int) -> ScenarioResult:
     record = run_chain(chain, runs)
     probs = chain.probabilities
     # outcome k's frequency among the first m runs, from its counts in the chunks between record steps
-    steps = np.array(record_steps(runs, cfg.record_stride))  # 0, then every m
+    steps = record_steps(runs, cfg.record_stride)  # 0, then every m
     m, wide = steps[1:], np.min_scalar_type(runs)  # an integer that holds every count
     trace = ObservableTrace(m, {f"f_{k}": np.add.reduceat(record.outcomes == k, steps[:-1], dtype=wide).cumsum() / m
                                 for k in range(n)})
@@ -173,7 +175,7 @@ def _run_chain(cfg: ChainConfig, seed: int) -> ScenarioResult:
         "max_abs_deviation": float(np.max(np.abs(freqs - probs))),
         "within_3_sigma": bool(np.all(np.abs(freqs - probs) <= 3 * sigma + 1e-15)),
     }
-    return ScenarioResult(trace, summary, audit(np.diag(probs)))  # the decohered state diag(|c_n|^2)
+    return ScenarioResult(trace, summary, audit(np.diag([f[-1] for f in trace.records.values()])))  # f_k at runs
 
 
 SCENARIOS: dict[str, ScenarioDef] = {s.name: s for s in (

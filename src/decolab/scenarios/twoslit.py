@@ -84,7 +84,7 @@ def two_slit_run(cfg: TwoSlitConfig) -> tuple[ObservableTrace, GridDensityMatrix
     v0 = float(abs(s0.psi[i_r] * s0.psi[i_l].conj()))
     if v0 <= 0:
         raise PreconditionError("no initial cross peak; packets unresolved on grid")
-    times = np.array(record_steps(n_steps, cfg.record_stride)) * cfg.dt
+    times = record_steps(n_steps, cfg.record_stride) * cfg.dt
     if not math.isfinite(cfg.mass):  # exact in time: no steps
         peaks = v0 * np.exp(-cfg.lam * times * (s0.grid.dx * (i_r - i_l)) ** 2)  # the kernel's x_r - x_l
         final = localization_step(s0, cfg.t_final, out=s0.m)

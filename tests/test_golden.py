@@ -50,9 +50,10 @@ def test_a_trace_perturbed_by_1e_9_is_rejected(name):
     assert mismatch((head, rows), (head[::-1], rows)) is not None
 
 
-def test_check_finds_the_born_chain_golden_byte_identical(capsys):
+@pytest.mark.parametrize("name", ["born-chain", "chiral-ph3-like", "chiral-sugar"])
+def test_check_finds_the_golden_byte_identical(name, capsys):
     before = {p.name: p.stat().st_mtime_ns for p in GOLDEN_DIR.glob("*.csv*")}
-    assert regenerate.main(["--check", "born-chain"]) == 0
+    assert regenerate.main(["--check", name]) == 0
     assert capsys.readouterr().out == ""
     assert {p.name: p.stat().st_mtime_ns for p in GOLDEN_DIR.glob("*.csv*")} == before  # wrote nothing
 

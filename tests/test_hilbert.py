@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from decolab import hilbert
 from decolab.hilbert import (
     EIG_FLOOR, HERM_BLOCK, SubsystemSplit, StateVector, DensityMatrix, Observable,
-    density_of, expectation, partial_trace, check_gram, check_unit, hermiticity_drift,
+    density_of, expectation, partial_trace, check_gram, check_positive, check_unit, hermiticity_drift,
     schmidt, entanglement_entropy, offdiagonal_coherence, audit, min_eigenvalue_if_uncertified,
 )
 from decolab.localization import GridSpec, gaussian_packet, pure_density
@@ -253,6 +253,19 @@ def test_audit_certifies_or_measures_as_eigvalsh_decides(lo, weight):
         assert got["min_eigenvalue"] is None and got["min_eigenvalue_bound"] == EIG_FLOOR
     else:
         assert got["min_eigenvalue"] == got["min_eigenvalue_bound"] == pytest.approx(lowest, rel=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("at", [(0, 0), (1, 2)])
+def test_a_non_finite_entry_measures_nan_and_fails_positivity(bad, at):
+    """No eigvalsh LinAlgError: the smallest eigenvalue of a non-finite matrix reads NaN, which no check passes."""
+    a = np.eye(4) / 4
+    a[at] = a[at[::-1]] = bad  # hermitian
+    assert np.isnan(min_eigenvalue_if_uncertified(a))
+    with np.errstate(invalid="ignore"):  # inf - inf in the hermiticity drift
+        assert np.isnan(audit(a)["min_eigenvalue_bound"])
+    with pytest.raises(ValueError, match="negative eigenvalue nan"):
+        check_positive(a, "state")
 
 
 def test_rank_one_states_are_accepted_at_dimension_1024():

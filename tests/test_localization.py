@@ -7,7 +7,7 @@ import pytest
 from decolab.localization import (
     GridSpec, GridDensityMatrix, GaussianMoments, ObservableTrace,
     gaussian_packet, pure_density, localization_step, kinetic_half_step,
-    moments_of, coherence_length, evolve, OBSERVABLES, _record,
+    moments_of, coherence_length, evolve, record_steps, OBSERVABLES, _record,
 )
 from decolab import localization
 from decolab.errors import InvariantError
@@ -19,6 +19,11 @@ GRID = GridSpec(128, -8.0, 8.0)
 def _gaussian_state(mass=1.0, lam=0.0, sigma=0.5, momentum=0.0):
     psi = gaussian_packet(GRID, 0.0, sigma, momentum)
     return pure_density(GRID, psi, mass, lam)
+
+
+def test_record_steps_are_integers_ending_at_the_last_step():
+    assert record_steps(10, 3).dtype.kind == "i" and record_steps(10, 3).tolist() == [0, 3, 6, 9, 10]
+    assert record_steps(9, 3).dtype.kind == "i" and record_steps(9, 3).tolist() == [0, 3, 6, 9]
 
 
 def test_grid_spec_validation():

@@ -12,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 import decolab
 from decolab import cli
-from decolab.cli import AUDIT_EIG_FLOOR, main
+from decolab.cli import main
 from decolab.hilbert import EIG_FLOOR, audit
-from decolab.errors import ConfigError
+from decolab.errors import ConfigError, InvariantError
 from decolab.runner import (
-    RunConfig, parse_config, emit_config, execute,
+    AUDIT_EIG_FLOOR, RunConfig, parse_config, emit_config, execute,
     read_trace_csv, write_trace_csv, summarize, format_summary_table, fit_exponent,
 )
 from decolab.localization import ObservableTrace
@@ -385,18 +385,26 @@ def test_cli_run_reports_unmeasured_audit_fields_as_null(tmp_path, monkeypatch):
     assert audit["trace_drift"] < 1e-12
 
 
-@pytest.mark.parametrize("lo, code", [(-1e-9, 0), (-1e-7, 4)])
-def test_cli_run_exit_4_reads_the_measured_eigenvalue(lo, code, tmp_path, monkeypatch, capsys):
-    """A planted final state below EIG_FLOOR is measured; only one below AUDIT_EIG_FLOOR fails the run."""
-    assert AUDIT_EIG_FLOOR < -1e-9 < EIG_FLOOR and -1e-7 < AUDIT_EIG_FLOOR
+MONITORED_CFG = "[decay-monitored]\nn_modes = 41\nt_final = 1.0\noutput = monitored.csv\n"
+
+
+def _plant_final_state(monkeypatch, state):
+    """registry.decay_run returns its trace with state(n) in place of its n x n final state."""
     run = registry.decay_run
 
     def planted(cfg):
         trace, rho = run(cfg)
-        return trace, state_with_min_eigenvalue(np.random.default_rng(8), len(rho), lo)
+        return trace, state(len(rho))
     monkeypatch.setattr(registry, "decay_run", planted)
+
+
+@pytest.mark.parametrize("lo, code", [(-1e-9, 0), (-1e-7, 4)])
+def test_cli_run_exit_4_reads_the_measured_eigenvalue(lo, code, tmp_path, monkeypatch, capsys):
+    """A planted final state below EIG_FLOOR is measured; only one below AUDIT_EIG_FLOOR fails the run."""
+    assert AUDIT_EIG_FLOOR < -1e-9 < EIG_FLOOR and -1e-7 < AUDIT_EIG_FLOOR
+    _plant_final_state(monkeypatch, lambda n: state_with_min_eigenvalue(np.random.default_rng(8), n, lo))
     cfg = tmp_path / "monitored.cfg"
-    cfg.write_text("[decay-monitored]\nn_modes = 41\nt_final = 1.0\noutput = monitored.csv\n")
+    cfg.write_text(MONITORED_CFG)
     monkeypatch.setenv("DECOLAB_OUTDIR", str(tmp_path))
     assert main(["run", str(cfg)]) == code
     audit = json.loads((tmp_path / "monitored.csv.report.json").read_text())["audit"]
@@ -407,6 +415,82 @@ def test_cli_run_exit_4_reads_the_measured_eigenvalue(lo, code, tmp_path, monkey
         assert repr(audit["min_eigenvalue"]) in err
     else:
         assert err == ""
+
+
+def test_execute_raises_on_a_failing_audit_after_writing_its_outputs(tmp_path, monkeypatch):
+    """The exit-4 rule is runner.execute's: a library caller gets InvariantError, after the CSV and report."""
+    _plant_final_state(monkeypatch, lambda n: state_with_min_eigenvalue(np.random.default_rng(8), n, -1e-7))
+    monkeypatch.setenv("DECOLAB_OUTDIR", str(tmp_path))
+    with pytest.raises(InvariantError, match=r"invariant audit failed for \[decay-monitored\]: ") as exc:
+        execute(parse_config(MONITORED_CFG)[0])
+    audit = json.loads((tmp_path / "monitored.csv.report.json").read_text())["audit"]
+    assert audit["min_eigenvalue_bound"] == pytest.approx(-1e-7, rel=1e-4)
+    assert str(exc.value).endswith(str(audit))
+    assert read_trace_csv(str(tmp_path / "monitored.csv"))[1].shape == (21, 2)
+
+
+@pytest.mark.parametrize("drift, bound, fails", [
+    (1e-8, -1e-8, False), (0.0, None, False), (2e-8, EIG_FLOOR, True), (0.0, -2e-8, True),
+    (math.nan, EIG_FLOOR, True), (math.nan, None, True), (0.0, math.nan, True),
+])
+def test_execute_holds_the_audit_to_the_exit_4_rule(drift, bound, fails, tmp_path, monkeypatch):
+    """Trace drift at most 1e-8 and an eigenvalue bound, where measured, at least -1e-8; a NaN fails either."""
+    monkeypatch.setattr(registry, "audit", lambda rho: {
+        "trace_drift": drift, "hermiticity_drift": None, "min_eigenvalue": None, "min_eigenvalue_bound": bound})
+    cfg = parse_config(f"[born-chain]\nruns = 100\noutput = {tmp_path / 'chain.csv'}\n")[0]
+    if fails:
+        with pytest.raises(InvariantError, match=r"invariant audit failed for \[born-chain\]"):
+            execute(cfg)
+    else:
+        execute(cfg)
+
+
+def test_cli_run_audit_failure_skips_later_sections(tmp_path, monkeypatch, capsys):
+    _plant_final_state(monkeypatch, lambda n: state_with_min_eigenvalue(np.random.default_rng(8), n, -1e-7))
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text(MONITORED_CFG + "[charge-shells]\nshells = 10\noutput = charge.csv\n")
+    monkeypatch.setenv("DECOLAB_OUTDIR", str(tmp_path))
+    assert main(["run", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert "invariant audit failed for [decay-monitored]" in err
+    assert [line for line in err.splitlines() if "skipped" in line] == [
+        "skipped section 2 [charge-shells]: not run after exit 4"]
+    assert (tmp_path / "monitored.csv").exists() and not (tmp_path / "charge.csv").exists()
+
+
+def test_cli_run_non_finite_final_state_is_exit_4(tmp_path, monkeypatch, capsys):
+    """A NaN entry in the final state is no eigvalsh traceback: every audit field reads NaN and fails the run."""
+    def nan_state(n):
+        rho = np.eye(n) / n
+        rho[0, 0] = np.nan
+        return rho
+    _plant_final_state(monkeypatch, nan_state)
+    cfg = tmp_path / "monitored.cfg"
+    cfg.write_text(MONITORED_CFG)
+    monkeypatch.setenv("DECOLAB_OUTDIR", str(tmp_path))
+    assert main(["run", str(cfg)]) == 4
+    audit = json.loads((tmp_path / "monitored.csv.report.json").read_text())["audit"]
+    assert all(math.isnan(value) for value in audit.values())
+    assert "invariant audit failed for [decay-monitored]" in capsys.readouterr().err
+
+
+def test_born_chain_audits_its_recorded_frequencies(tmp_path, monkeypatch):
+    """The audit reads diag(f_k) at `runs`: record chunks that miss run 0 leave its trace short by 1/runs."""
+    cfg = parse_config(f"[born-chain]\nruns = 100\noutput = {tmp_path / 'chain.csv'}\n")[0]
+    report = execute(cfg)
+    _, rows = read_trace_csv(report.trace_path)
+    assert report.audit == audit(np.diag(rows[-1, 1:]))
+    record_steps = registry.record_steps
+
+    def from_run_1(n_steps, stride):
+        steps = record_steps(n_steps, stride)
+        steps[0] = 1
+        return steps
+    monkeypatch.setattr(registry, "record_steps", from_run_1)
+    with pytest.raises(InvariantError, match=r"invariant audit failed for \[born-chain\]"):
+        execute(cfg)
+    drift = json.loads(Path(report.trace_path + ".report.json").read_text())["audit"]["trace_drift"]
+    assert drift == pytest.approx(0.01)
 
 
 def test_chiral_audit_reads_the_final_state(tmp_path):

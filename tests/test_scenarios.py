@@ -140,7 +140,7 @@ def test_chiral_matches_expm_of_the_lindblad_generator(gamma, t_final, dt, strid
     trace, rho = chiral_run(cfg)
     t, rec = trace.as_arrays()
     steps = round(t_final / dt)
-    assert np.array_equal(t, np.array(record_steps(steps, stride)) * dt)
+    assert np.array_equal(t, record_steps(steps, stride) * dt)
     assert t[-1] == pytest.approx(t_final, abs=1e-12)
     p_left, coherence, final = chiral_expm_oracle(cfg.omega, gamma, t)
     assert np.max(np.abs(rec["p_left"] - p_left)) <= 1e-12
