@@ -19,13 +19,16 @@ of M^T from R, R[:h+1, :h+1]^T over p <= N/2 and conj(R[-q mod N, N-p]) above
 it, with no copy.  The rotation carries irfft2's 1/N^2, so no pass rescales.
 Time stepping is Strang splitting with adjacent kinetic half-kicks merged
 into one full kick, in one loop for `evolve` and finite-mass two-slit; the
-loop also makes the closing half-kick, in its own buffers.
+loop also makes the closing half-kick, in its own buffers.  K = -(k/m) d/dDelta and
+L = -lam Delta^2 close at the central [K, [K, L]] = -2 lam k^2/m^2, so n Strang steps
+of dt are one of T = n dt times f_T = exp(-lam k^2 T (T^2 - dt^2) / 12 m^2): the loop
+steps once per record interval, and dt is the Strang step a run reproduces.
 
 Validation: `GridDensityMatrix(grid, rho, mass, lam)` checks a caller's
 complex rho in full (shape, hermiticity within 1e-10, trace, NaN and inf)
 and keeps its hermitian part; a pure state given as psi is checked in O(N)
 from its shape and norm.  The states the solver makes are hermitian by
-construction; each step's state is checked once, after its localization,
+construction; each interval's state is checked once, after its localization,
 for a finite sum of M and unit trace, a drift raising InvariantError.  No
 step reads or restores hermiticity, and `audit` reports its drift as None.
 """
@@ -264,6 +267,17 @@ def _rotation(grid: GridSpec, mass: float, tau: float) -> tuple[np.ndarray, np.n
     return rows @ cols, rows @ np.stack((-cols[1], cols[0]))
 
 
+def _interval_rotation(s: GridDensityMatrix, tau: float, n: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """`_rotation` over tau times f_T, T = n dt, at numpy's k = p + q: real, even and symmetric, so on both products."""
+    rotation, p, t = _rotation(s.grid, s.mass, tau), s.grid.p, n * dt
+    if n > 1:  # f_T = 1 at T = dt
+        f = np.add.outer(p, p[:len(p) // 2 + 1]) ** 2 * (-s.lam * t * (t * t - dt * dt) / (12.0 * s.mass**2))
+        np.exp(f, out=f)  # in place: beside the rotation, one half-spectrum array
+        for part in rotation:
+            part *= f
+    return rotation
+
+
 def _kicked(r: np.ndarray, rotation, out: np.ndarray, work=None) -> np.ndarray:
     """M after the kick of `rotation` from R = rfft2(M), into out; R is kicked in place, or into k of work (k, u).
     u takes sin theta times T, the same half of fft2(M)^T, read from R: row p of T is column p of fft2(M),
@@ -294,18 +308,15 @@ def kinetic_half_step(s: GridDensityMatrix, dt: float) -> GridDensityMatrix:
 
 
 def _march(s0: GridDensityMatrix, dt: float, n_steps: int, stride: int, record):
-    """The grid's one step loop: n_steps Strang steps from s0, adjacent half-kicks merged.
+    """The grid's one step loop: n_steps Strang steps of dt from s0, one per record interval, half-kicks merged.
 
-    The opening half-kick's M, never s0's, is the one state buffer: each localization multiplies
-    it in place by the Toeplitz kernel, validating the step once (K_ii = 1 keeps the kicked trace,
-    and a NaN or inf survives the multiply by K >= 0), and each kick overwrites it from its
-    spectrum R = rfft2(M), kicked in place beside one work buffer.  The last step kicks by half, in
-    a half rotation built once the full one is freed, and the closing state is validated.  At each
-    step of record_steps(n_steps, stride), record(step, s, spectrum) gets the state s at that step
-    with spectrum None; at inner steps of a finite mass it gets the state before its closing
-    half-kick and spectrum = rfft2(s.m), kicked in place afterwards: a view of the loop's buffer,
-    valid during the call.  At mass = inf the localization flow alone is exact, so one localization
-    per record interval replaces the steps: out of s0 into a new M, then in place in that M.
+    Interval r of steps = record_steps(n_steps, stride) localizes once, by its T_r kernel, after the kick that
+    opens it and carries f_{T_r} (`_interval_rotation`); stride 1 builds no f and kicks a pure psi in O(N).
+    The opened M, never s0's, is the one state buffer: localizations multiply it in place, validating it once
+    per interval (K_ii = 1 keeps the trace; a NaN or inf survives K >= 0), and kicks overwrite it from its
+    R = rfft2(M), kicked in place beside one work buffer.  record(step, s, spectrum) gets the state at each
+    record step, with spectrum None or, at inner steps of a finite mass, before its closing half-kick over T_r/2
+    with spectrum = rfft2(s.m), a view of the loop's buffer kicked after the call.  Mass = inf only localizes.
     """
     steps = record_steps(n_steps, stride)
     record(0, s0, None)
@@ -315,21 +326,25 @@ def _march(s0: GridDensityMatrix, dt: float, n_steps: int, stride: int, record):
             s = localization_step(s, (b - a) * dt, full if b - a == steps[1] else None, out=None if s is s0 else s.m)
             record(b, s, None)
         return s
-    kernel = _localization_kernel(s0.grid, s0.lam, dt)
-    rotation = _rotation(s0.grid, s0.mass, dt)
-    buffers = np.empty((2, *rotation[0].shape), complex)  # R = rfft2(M) and the kick's sine product
-    at = set(steps[1:-1].tolist())
-    s = kinetic_half_step(s0, dt)
-    m = s.m
-    for step in range(1, n_steps + 1):
-        s = localization_step(s, dt, kernel, out=m)
-        if step == n_steps:  # the closing half-kick
-            del kernel, rotation
-            rotation = _rotation(s0.grid, s0.mass, dt / 2.0)
+    sizes = np.diff(steps).tolist()  # steps per record interval: stride, but for a short last one
+    if sizes[0] == 1:
+        s = kinetic_half_step(s0, dt)
+    else:  # f cannot ride on psi: a pure state opens through a throwaway M
+        s = _state(s0, _kicked(
+            np.fft.rfft2(s0.m if s0.psi is None else pure_density(s0.grid, s0.psi, s0.mass, s0.lam).m),
+            _interval_rotation(s0, sizes[0] * dt / 2.0, sizes[0], dt), np.empty((s0.grid.n_points,) * 2)))
+    m, kernel, kick = s.m, _localization_kernel(s0.grid, s0.lam, sizes[0] * dt), (None, None)
+    buffers = np.empty((2, len(m), len(m) // 2 + 1), complex)  # R = rfft2(M) and the kick's sine product
+    for step, n, after in zip(steps[1:].tolist(), sizes, sizes[1:] + [0]):  # after: 0 at the closing half-kick
+        s = localization_step(s, n * dt, kernel if n == sizes[0] else None, out=m)
+        key = ((n + after) * dt / 2.0, after) if after else (n * dt / 2.0, 1)
+        if key != kick[0]:
+            kick = None  # the old rotation freed before the new one is built
+            kick = key, _interval_rotation(s0, *key, dt)
         spectrum = np.fft.rfft2(m, out=buffers[0])
-        if step in at:
+        if after:
             record(step, s, spectrum)
-        _kicked(spectrum, rotation, out=m, work=buffers)
+        _kicked(spectrum, kick[1], out=m, work=buffers)
     s = _state(s, m)
     record(n_steps, s, None)
     return s
@@ -423,7 +438,7 @@ def _record(s: GridDensityMatrix, names) -> dict[str, float]:
 def evolve(s0: GridDensityMatrix, t_final: float, dt: float,
            recorder=("trace", "var_xx", "cov_xp", "var_pp", "offdiag_peak"),
            record_stride: int = 1) -> tuple[GridDensityMatrix, ObservableTrace]:
-    """Strang-split evolution to t_final, recording observables along the way.
+    """Strang-split evolution by steps of dt to t_final, taken and recorded every record_stride steps.
 
     Every state is hermitian by construction; one whose trace drifts
     beyond 1e-8 stops the run with InvariantError.
@@ -433,8 +448,8 @@ def evolve(s0: GridDensityMatrix, t_final: float, dt: float,
 
     def record(step, s, spectrum):
         nonlocal kick
-        if spectrum is not None:  # an inner state's closing half-kick, in a rotation and buffers made once
-            kick = kick or (_rotation(s.grid, s.mass, dt / 2.0), np.empty_like(s.m),
+        if spectrum is not None:  # an inner state's closing half-kick over its interval, record_stride * dt
+            kick = kick or (_rotation(s.grid, s.mass, record_stride * dt / 2.0), np.empty_like(s.m),
                             np.empty((2, *spectrum.shape), complex))
             s = _state(s, _kicked(spectrum, kick[0], out=kick[1], work=kick[2]))
         rows.append(_record(s, recorder))

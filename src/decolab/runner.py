@@ -26,6 +26,7 @@ OUTPUT_DIR_ENV = "DECOLAB_OUTDIR"
 RESERVED_KEYS = ("seed", "output", "record_stride")
 AUDIT_TRACE_TOL = 1e-8
 AUDIT_EIG_FLOOR = -1e-8
+AUDIT_HERM_TOL = 1e-8  # as for the trace
 
 
 @dataclass
@@ -190,8 +191,8 @@ def execute(cfg: RunConfig, index: int = 0, seed_override: int | None = None) ->
     """Run one scenario, writing its CSV trace and returning the report.
 
     The report is also written next to the CSV as `<trace>.report.json`; then InvariantError (exit 4)
-    unless the audit's trace drift <= AUDIT_TRACE_TOL and its eigenvalue bound, where measured,
-    >= AUDIT_EIG_FLOOR.  A NaN fails either test.
+    unless the audit's trace drift <= AUDIT_TRACE_TOL and, where measured, its hermiticity drift
+    <= AUDIT_HERM_TOL and its eigenvalue bound >= AUDIT_EIG_FLOOR.  A NaN fails each test.
     """
     if seed_override is not None:
         cfg = RunConfig(cfg.scenario, dict(cfg.parameters), seed=seed_override,
@@ -210,8 +211,8 @@ def execute(cfg: RunConfig, index: int = 0, seed_override: int | None = None) ->
     with open(out_path + ".report.json", "w") as fh:
         json.dump(report.as_dict(), fh, indent=2, default=str)
         fh.write("\n")
-    eig = report.audit["min_eigenvalue_bound"]  # None where the run keeps no state
-    if not report.audit["trace_drift"] <= AUDIT_TRACE_TOL or (eig is not None and not eig >= AUDIT_EIG_FLOOR):
+    herm, eig = (report.audit[k] or 0.0 for k in ("hermiticity_drift", "min_eigenvalue_bound"))  # None: unmeasured
+    if not (report.audit["trace_drift"] <= AUDIT_TRACE_TOL and herm <= AUDIT_HERM_TOL and eig >= AUDIT_EIG_FLOOR):
         raise InvariantError(f"invariant audit failed for [{cfg.scenario}]: {report.audit}")
     return report
 

@@ -17,6 +17,8 @@ from ..errors import ConfigError
 from ..hilbert import check_unit
 from ..params import Declared, param
 
+BLOCK = 2 ** 17  # runs per block of comparison passes: 1 MiB of uniforms
+
 
 @dataclass
 class ChainConfig(Declared):
@@ -78,15 +80,17 @@ def run_chain(chain: MeasurementChain, runs: int) -> FrequencyRecord:
     seed, so the record is independent of execution order and bitwise
     reproducible.  Its outcome, of dtype min_scalar_type(n_outcomes - 1), is the number of inner
     edges of cumsum(probabilities) at or below its uniform u (searchsorted's, the last edge pinned
-    to 1), in one comparison pass per edge; counts are the differences of the passes' tallies.
+    to 1), in one comparison pass per edge over each BLOCK of runs; counts are the passes' tally differences.
     """
     if runs < 1:
         raise ValueError("need at least one run")
     rng = np.random.Generator(np.random.Philox(key=chain.seed))
     u = rng.random(runs)
     outcomes = np.zeros(runs, np.min_scalar_type(chain.n_outcomes - 1))
-    above, at_least = np.empty(runs, bool), [runs]
-    for edge in np.cumsum(chain.probabilities)[:-1]:
-        outcomes += np.greater_equal(u, edge, out=above)
-        at_least.append(np.count_nonzero(above))
-    return FrequencyRecord(-np.diff(at_least + [0]), chain.seed, outcomes)
+    above, at_least = np.empty(min(runs, BLOCK), bool), np.zeros(chain.n_outcomes - 1, np.int64)
+    for lo in range(0, runs, BLOCK):  # each block of u stays in cache over every edge's pass
+        u_b, out_b, above_b = u[lo:lo + BLOCK], outcomes[lo:lo + BLOCK], above[:min(BLOCK, runs - lo)]
+        for k, edge in enumerate(np.cumsum(chain.probabilities)[:-1]):
+            out_b += np.greater_equal(u_b, edge, out=above_b)
+            at_least[k] += np.count_nonzero(above_b)
+    return FrequencyRecord(-np.diff(np.concatenate(([runs], at_least, [0]))), chain.seed, outcomes)

@@ -72,12 +72,12 @@ def two_slit_run(cfg: TwoSlitConfig) -> tuple[ObservableTrace, GridDensityMatrix
     At mass = inf every record is |psi_r psi_l^*| exp(-lam t (x_r - x_l)^2), and the final state is one
     localization over t_final, in place in the initial M; K_ii = 1 keeps the diagonal, so the trace.
 
-    At a finite mass rho_rl is psi_r psi_l^* at t = 0, then from M_rl and M_lr.  Inner records get M
-    before its closing half-kick U rho U^dag, where U = F^-1 e^{-i p^2 dt/4m} F is circulant: row a of U
-    is u_a[b] = c[(a - b) mod N] with c = ifft(e^{-i p^2 dt/4m}).  As rho = ((1 + i) M + (1 - i) M^T)/2,
-    the kicked rho_rl = u_r^T rho conj(u_l) = ((1 + i) u_r^T M conj(u_l) + (1 - i) conj(u_l)^T M u_r)/2,
-    from one real product of M with the four columns Re and Im of conj(u_l) and u_r.  The trace is the
-    diagonal sum, which the kick keeps.
+    At a finite mass `_march` steps once per record interval T = record_stride * dt.  rho_rl is psi_r psi_l^*
+    at t = 0, then from M_rl and M_lr.  Inner records get M before its closing half-kick U rho U^dag, where
+    U = F^-1 e^{-i p^2 T/4m} F is circulant: row a of U is u_a[b] = c[(a - b) mod N], c = ifft(e^{-i p^2 T/4m}).
+    As rho = ((1 + i) M + (1 - i) M^T)/2, the kicked rho_rl = u_r^T rho conj(u_l) = ((1 + i) u_r^T M conj(u_l)
+    + (1 - i) conj(u_l)^T M u_r)/2, from one real product of M with the four columns Re and Im of conj(u_l)
+    and u_r.  The trace is the diagonal sum, which the kick keeps.
     """
     n_steps = step_count(cfg.t_final, cfg.dt)
     s0, i_r, i_l = _initial_state(cfg)
@@ -91,7 +91,7 @@ def two_slit_run(cfg: TwoSlitConfig) -> tuple[ObservableTrace, GridDensityMatrix
         traces = np.full(len(times), final.trace())
     else:
         peaks, traces = [], []
-        c = np.fft.ifft(np.exp(-1j * s0.grid.p**2 / (4.0 * cfg.mass) * cfg.dt))
+        c = np.fft.ifft(np.exp(-1j * s0.grid.p**2 / (4.0 * cfg.mass) * (cfg.record_stride * cfg.dt)))
         u_r, u_l = c[np.subtract.outer((i_r, i_l), np.arange(len(c))) % len(c)]
         w = np.stack((u_l.real, -u_l.imag, u_r.real, u_r.imag), axis=1)
 

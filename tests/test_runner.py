@@ -16,7 +16,7 @@ from decolab.cli import main
 from decolab.hilbert import EIG_FLOOR, audit
 from decolab.errors import ConfigError, InvariantError
 from decolab.runner import (
-    AUDIT_EIG_FLOOR, RunConfig, parse_config, emit_config, execute,
+    AUDIT_EIG_FLOOR, AUDIT_HERM_TOL, RunConfig, parse_config, emit_config, execute,
     read_trace_csv, write_trace_csv, summarize, format_summary_table, fit_exponent,
 )
 from decolab.localization import ObservableTrace
@@ -471,6 +471,25 @@ def test_cli_run_non_finite_final_state_is_exit_4(tmp_path, monkeypatch, capsys)
     assert main(["run", str(cfg)]) == 4
     audit = json.loads((tmp_path / "monitored.csv.report.json").read_text())["audit"]
     assert all(math.isnan(value) for value in audit.values())
+    assert "invariant audit failed for [decay-monitored]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [0.3, math.nan])
+def test_cli_run_exit_4_reads_the_hermiticity_drift(entry, tmp_path, monkeypatch, capsys):
+    """diag(1/4) with entry (1, 2) off its mirror has unit trace and a certified bound from its lower
+    triangle; its measured hermiticity drift, 0.3 or NaN, above AUDIT_HERM_TOL fails the run."""
+    def skewed(n):
+        rho = np.eye(4) / 4
+        rho[1, 2] = entry
+        return rho
+    _plant_final_state(monkeypatch, skewed)
+    cfg = tmp_path / "monitored.cfg"
+    cfg.write_text(MONITORED_CFG)
+    monkeypatch.setenv("DECOLAB_OUTDIR", str(tmp_path))
+    assert main(["run", str(cfg)]) == 4
+    audit = json.loads((tmp_path / "monitored.csv.report.json").read_text())["audit"]
+    assert audit["trace_drift"] <= 1e-15 and audit["min_eigenvalue_bound"] >= AUDIT_EIG_FLOOR
+    assert not audit["hermiticity_drift"] <= AUDIT_HERM_TOL
     assert "invariant audit failed for [decay-monitored]" in capsys.readouterr().err
 
 
